@@ -61,13 +61,13 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use catalog::{ContentIndex, IndexEntry, IndexError, ZoneInfo};
 use layout::{ReelLayout, StreamId};
 use micr_olonys::{Bootstrap, MicrOlonys, RestoreError, VaultManifest};
-use segment::{segment_dump, Segment};
+use segment::segment_dump;
 use ule_compress::ArchiveError;
 use ule_emblem::stream::{chunk_global_index, StreamError, GROUP_DATA, GROUP_PARITY};
 use ule_emblem::{
     decode_emblem, decode_stream_traced, encode_emblem, encode_stream_with, EmblemKind,
 };
-use ule_gf256::crc::crc32;
+use ule_gf256::crc::{crc32, crc32_update};
 use ule_gf256::RsCode;
 use ule_obs::Telemetry;
 use ule_raster::GrayImage;
@@ -748,10 +748,11 @@ impl Vault {
     }
 
     /// Selective restore: the named table's dump segment, decoded from
-    /// only the frames the content index maps it to. The returned bytes
-    /// are identical to the same slice of [`Vault::restore_all`]'s dump —
-    /// a damaged index or damaged data frames degrade to the full-scan
-    /// fallback, never to different bytes.
+    /// only the frames the content index maps it to — the unpruned case
+    /// of [`Vault::query_table`]'s scan. The returned bytes are identical
+    /// to the same slice of [`Vault::restore_all`]'s dump: a damaged
+    /// index or damaged data frames degrade to the full-scan fallback,
+    /// never to different bytes.
     pub fn restore_table(
         &self,
         bootstrap: &Bootstrap,
@@ -759,70 +760,8 @@ impl Vault {
         table: &str,
     ) -> Result<(Vec<u8>, VaultRestoreStats), VaultError> {
         let _span = self.telemetry.span("vault.restore_table");
-        let Some(manifest) = &bootstrap.vault else {
-            // Classic archive: restore everything, then segment the dump
-            // to find the table.
-            let (dump, mut stats) = self.restore_all(bootstrap, reels)?;
-            let seg = find_segment(&dump, table)
-                .ok_or_else(|| VaultError::UnknownTable(table.to_string()))?;
-            stats.path = RestorePath::Classic;
-            return Ok((dump[seg.start..seg.start + seg.len].to_vec(), stats));
-        };
-        let layout = self.layout_of(bootstrap, manifest);
-        let mut stats = VaultRestoreStats::new(RestorePath::Selective, layout.data_frames());
-        let mut source = FrameSource::new(layout, reels)?;
-
-        // Step 1: the catalog. Unusable index (beyond its own RS budget,
-        // CRC mismatch, parse failure) falls back to the full scan.
-        let index = match self.read_index(manifest, &mut source, &mut stats) {
-            Ok(index) => index,
-            Err(VaultError::ReelLoss {
-                group,
-                lost,
-                recoverable,
-            }) => {
-                // Reel-level loss beyond parity is not an index problem;
-                // a full scan cannot help either.
-                return Err(VaultError::ReelLoss {
-                    group,
-                    lost,
-                    recoverable,
-                });
-            }
-            Err(_) => {
-                stats.index_fallback = true;
-                stats.path = RestorePath::Full;
-                let dump = self.full_restore(&mut source, &mut stats)?;
-                let seg = find_segment(&dump, table)
-                    .ok_or_else(|| VaultError::UnknownTable(table.to_string()))?;
-                return Ok((dump[seg.start..seg.start + seg.len].to_vec(), stats));
-            }
-        };
-        let entry = index
-            .find(table)
-            .ok_or_else(|| VaultError::UnknownTable(table.to_string()))?
-            .clone();
-
-        // Step 2: decode exactly the chunks the catalog names.
-        match self.restore_record(&index, &entry, &mut source, &mut stats) {
-            Ok(bytes) => Ok((bytes, stats)),
-            Err(e @ VaultError::ReelLoss { .. }) => Err(e),
-            Err(_) => {
-                // Damaged frames inside the range: escalate to the full
-                // scan, which brings the outer code to bear.
-                stats.path = RestorePath::SelectiveFallback;
-                let dump = self.full_restore(&mut source, &mut stats)?;
-                let start = entry.dump_start as usize;
-                let len = entry.dump_len as usize;
-                if start + len > dump.len() {
-                    return Err(VaultError::ShapeMismatch(format!(
-                        "catalog names dump range {start}+{len}, dump holds {} bytes",
-                        dump.len()
-                    )));
-                }
-                Ok((dump[start..start + len].to_vec(), stats))
-            }
-        }
+        let (scan, stats) = self.scan_table(bootstrap, reels, table, &ZonePredicate::all())?;
+        Ok((scan.concat(), stats))
     }
 
     /// Streaming query scan of one table: the dump bytes a query needs,
@@ -833,9 +772,9 @@ impl Vault {
     /// only — callers re-apply their exact predicate to every row — so a
     /// pruned scan answers queries identically to an unpruned one.
     ///
-    /// Every fallback of [`Vault::restore_table`] exists here too
-    /// (classic archives, unusable index, damaged frames): each degrades
-    /// to an unpruned single-piece scan, never to different bytes.
+    /// Every fallback (classic archive, unusable index, damaged frames
+    /// past degraded-mode rebuild) degrades to an unpruned single-piece
+    /// scan, never to different bytes.
     pub fn query_table(
         &self,
         bootstrap: &Bootstrap,
@@ -844,59 +783,60 @@ impl Vault {
         pred: &ZonePredicate,
     ) -> Result<(TableScan, QueryStats), VaultError> {
         let _span = self.telemetry.span("vault.query_table");
+        let (scan, stats) = self.scan_table(bootstrap, reels, table, pred)?;
+        Ok(self.finish_query(scan, stats))
+    }
+
+    /// The vault's one table-read ladder, shared by
+    /// [`Vault::restore_table`] and [`Vault::query_table`]: classic
+    /// archive → catalog → selective zone scan (lost and damaged frames
+    /// rebuilt per offset) → full-scan fallback. Reel loss beyond parity
+    /// is returned as is; no rung can help with it.
+    fn scan_table(
+        &self,
+        bootstrap: &Bootstrap,
+        reels: &ReelScans,
+        table: &str,
+        pred: &ZonePredicate,
+    ) -> Result<(TableScan, VaultRestoreStats), VaultError> {
         let Some(manifest) = &bootstrap.vault else {
-            // Pre-S16 archive: classic full restore, one unpruned piece.
-            let (dump, mut stats) = self.restore_all(bootstrap, reels)?;
-            let seg = find_segment(&dump, table)
-                .ok_or_else(|| VaultError::UnknownTable(table.to_string()))?;
-            stats.path = RestorePath::Classic;
-            let scan = TableScan::whole(
-                seg.start as u64,
-                dump[seg.start..seg.start + seg.len].to_vec(),
-            );
-            return Ok(self.finish_query(scan, stats));
+            // Pre-S16 archive: no catalog, so re-segment a full restore.
+            let (dump, stats) = self.restore_all(bootstrap, reels)?;
+            return Ok((slice_table(&dump, table, None)?, stats));
         };
         let layout = self.layout_of(bootstrap, manifest);
         let mut stats = VaultRestoreStats::new(RestorePath::Selective, layout.data_frames());
         let mut source = FrameSource::new(layout, reels)?;
-        let index = match self.read_index(manifest, &mut source, &mut stats) {
-            Ok(index) => index,
+        // The catalog entry to slice the fallback's dump by, if the
+        // catalog could be read at all.
+        let fallback_entry = match self.read_index(manifest, &mut source, &mut stats) {
             Err(e @ VaultError::ReelLoss { .. }) => return Err(e),
             Err(_) => {
+                // Unusable index (beyond its own RS budget, CRC
+                // mismatch, parse failure): full scan, re-segmented.
                 stats.index_fallback = true;
                 stats.path = RestorePath::Full;
-                let dump = self.full_restore(&mut source, &mut stats)?;
-                let seg = find_segment(&dump, table)
+                None
+            }
+            Ok(index) => {
+                let entry = index
+                    .find(table)
                     .ok_or_else(|| VaultError::UnknownTable(table.to_string()))?;
-                let scan = TableScan::whole(
-                    seg.start as u64,
-                    dump[seg.start..seg.start + seg.len].to_vec(),
-                );
-                return Ok(self.finish_query(scan, stats));
+                match self.scan_entry(&index, entry, pred, &mut source, &mut stats) {
+                    Ok(scan) => return Ok((scan, stats)),
+                    Err(e @ VaultError::ReelLoss { .. }) => return Err(e),
+                    Err(_) => {
+                        // Damaged frames the per-offset rebuild could not
+                        // save: the full scan brings the outer code to
+                        // bear.
+                        stats.path = RestorePath::SelectiveFallback;
+                        Some(entry.clone())
+                    }
+                }
             }
         };
-        let entry = index
-            .find(table)
-            .ok_or_else(|| VaultError::UnknownTable(table.to_string()))?
-            .clone();
-        match self.scan_entry(&index, &entry, pred, &mut source, &mut stats) {
-            Ok(scan) => Ok(self.finish_query(scan, stats)),
-            Err(e @ VaultError::ReelLoss { .. }) => Err(e),
-            Err(_) => {
-                stats.path = RestorePath::SelectiveFallback;
-                let dump = self.full_restore(&mut source, &mut stats)?;
-                let start = entry.dump_start as usize;
-                let len = entry.dump_len as usize;
-                if start + len > dump.len() {
-                    return Err(VaultError::ShapeMismatch(format!(
-                        "catalog names dump range {start}+{len}, dump holds {} bytes",
-                        dump.len()
-                    )));
-                }
-                let scan = TableScan::whole(entry.dump_start, dump[start..start + len].to_vec());
-                Ok(self.finish_query(scan, stats))
-            }
-        }
+        let dump = self.full_restore(&mut source, &mut stats)?;
+        Ok((slice_table(&dump, table, fallback_entry.as_ref())?, stats))
     }
 
     /// Close out one query scan: derive its [`QueryStats`] and feed the
@@ -929,7 +869,15 @@ impl Vault {
         let Some(spans) = entry.zone_spans() else {
             // No zones in the catalog (PR-4 era archive, or a table the
             // zone spec does not cover): whole-record decode.
-            let bytes = self.restore_record(index, entry, source, stats)?;
+            let chunks: Vec<usize> = index.chunk_range(entry).collect();
+            let payloads = self.decode_chunks(&chunks, source, stats)?;
+            let run = extract_span(
+                &payloads,
+                layout.chunk_cap,
+                entry.archive_start,
+                entry.archive_len,
+            )?;
+            let bytes = decode_record_run(&run, entry)?;
             return Ok(TableScan::whole(entry.dump_start, bytes));
         };
         let selected: Vec<_> = spans
@@ -954,11 +902,10 @@ impl Vault {
             pieces.push((s.dump_start, decode_zone_record(&run, s.info)?));
         }
         if selected.len() == spans.len() {
-            let mut all = Vec::with_capacity(entry.dump_len as usize);
-            for (_, b) in &pieces {
-                all.extend_from_slice(b);
-            }
-            if crc32(&all) != entry.crc32 {
+            let state = pieces
+                .iter()
+                .fold(0xFFFF_FFFF, |st, (_, b)| crc32_update(st, b));
+            if state ^ 0xFFFF_FFFF != entry.crc32 {
                 return Err(VaultError::ShapeMismatch(format!(
                     "segment {} fails its catalog crc",
                     entry.name
@@ -1129,26 +1076,6 @@ impl Vault {
             .zip(decoded)
             .map(|(&c, (_, payload))| (c, payload))
             .collect())
-    }
-
-    /// Selective record decode: exactly the chunks covering `entry`.
-    fn restore_record(
-        &self,
-        index: &ContentIndex,
-        entry: &IndexEntry,
-        source: &mut FrameSource<'_>,
-        stats: &mut VaultRestoreStats,
-    ) -> Result<Vec<u8>, VaultError> {
-        let layout = source.layout;
-        let chunks: Vec<usize> = index.chunk_range(entry).collect();
-        let payloads = self.decode_chunks(&chunks, source, stats)?;
-        let bytes = extract_span(
-            &payloads,
-            layout.chunk_cap,
-            entry.archive_start,
-            entry.archive_len,
-        )?;
-        decode_record_run(&bytes, entry)
     }
 
     /// Full-scan restore of the whole dump from a vault data stream.
@@ -1424,16 +1351,16 @@ impl<'a> FrameSource<'a> {
     }
 
     /// Reconstruct every lost reel covering `positions` — whole reels,
-    /// so downstream whole-stream decodes see every offset. Selective
-    /// readers rebuild per-offset through [`FrameSource::reconstruct`]
-    /// instead.
+    /// so downstream whole-stream decodes see every offset. Frames an
+    /// earlier per-offset [`FrameSource::reconstruct`] already rebuilt
+    /// are kept, and only the rest of the reel is rebuilt.
     fn ensure(
         &mut self,
         vault: &Vault,
         positions: &[usize],
         stats: &mut VaultRestoreStats,
     ) -> Result<(), VaultError> {
-        let mut wants: Vec<(usize, usize)> = Vec::new();
+        let mut lost: Vec<usize> = Vec::new();
         for &pos in positions {
             if pos >= self.layout.total_frames() {
                 // A catalog (or caller) naming frames past the manifest's
@@ -1444,18 +1371,19 @@ impl<'a> FrameSource<'a> {
                 )));
             }
             let (reel, _) = self.layout.reel_of(pos);
-            if self.reels[reel].is_none() && !self.touched.contains(&reel) {
-                wants.extend((0..self.layout.reel_frames(reel)).map(|j| (reel, j)));
-                self.touched.insert(reel);
-                stats.reels_reconstructed += 1;
-                vault.telemetry.add("vault.reels_reconstructed", 1);
+            if self.reels[reel].is_none() && !lost.contains(&reel) {
+                lost.push(reel);
             }
         }
-        self.rebuild(vault, &wants, stats)
+        let wants: Vec<(usize, usize)> = lost
+            .iter()
+            .flat_map(|&r| (0..self.layout.reel_frames(r)).map(move |j| (r, j)))
+            .collect();
+        self.reconstruct(vault, &wants, stats)
     }
 
-    /// Degraded-mode reconstruction: rebuild exactly the named
-    /// `(reel, offset)` frames from their groups' surviving columns —
+    /// Degraded-mode reconstruction: rebuild the named `(reel, offset)`
+    /// frames not rebuilt yet from their groups' surviving columns —
     /// lost reels and damage-exhausted frames on present reels alike.
     fn reconstruct(
         &mut self,
@@ -1468,28 +1396,17 @@ impl<'a> FrameSource<'a> {
             .copied()
             .filter(|key| !self.rebuilt.contains_key(key))
             .collect();
+        if fresh.is_empty() {
+            return Ok(());
+        }
         for &(reel, _) in &fresh {
             if self.touched.insert(reel) {
                 stats.reels_reconstructed += 1;
                 vault.telemetry.add("vault.reels_reconstructed", 1);
             }
         }
-        self.rebuild(vault, &fresh, stats)
-    }
-
-    /// Fan the wanted frames out to their parity groups and store the
-    /// rebuilt images.
-    fn rebuild(
-        &mut self,
-        vault: &Vault,
-        wants: &[(usize, usize)],
-        stats: &mut VaultRestoreStats,
-    ) -> Result<(), VaultError> {
-        if wants.is_empty() {
-            return Ok(());
-        }
         if self.layout.parity_reels() == 0 {
-            let mut lost: Vec<usize> = wants.iter().map(|&(r, _)| r).collect();
+            let mut lost: Vec<usize> = fresh.iter().map(|&(r, _)| r).collect();
             lost.dedup();
             return Err(VaultError::ReelLoss {
                 group: 0,
@@ -1498,7 +1415,7 @@ impl<'a> FrameSource<'a> {
             });
         }
         let mut by_group: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
-        for &(reel, j) in wants {
+        for (reel, j) in fresh {
             let g = match self.layout.parity_role_of(reel) {
                 Some((g, _)) => g,
                 None => self.layout.group_of(reel),
@@ -1683,9 +1600,34 @@ fn validate_index(index: &ContentIndex, layout: &ReelLayout) -> Result<(), Vault
     Ok(())
 }
 
-/// Locate `table`'s segment in a restored dump (the index-less fallback).
-fn find_segment(dump: &[u8], table: &str) -> Option<Segment> {
-    segment_dump(dump).into_iter().find(|s| s.name == table)
+/// Cut `table` out of a fully restored dump as one unpruned piece: by
+/// the catalog's range when the catalog was readable (bounds-checked, the
+/// catalog may lie), else by re-segmenting the dump.
+fn slice_table(
+    dump: &[u8],
+    table: &str,
+    entry: Option<&IndexEntry>,
+) -> Result<TableScan, VaultError> {
+    let (start, len) = match entry {
+        Some(e) => (e.dump_start as usize, e.dump_len as usize),
+        None => {
+            let seg = segment_dump(dump)
+                .into_iter()
+                .find(|s| s.name == table)
+                .ok_or_else(|| VaultError::UnknownTable(table.to_string()))?;
+            (seg.start, seg.len)
+        }
+    };
+    let bytes = start
+        .checked_add(len)
+        .and_then(|end| dump.get(start..end))
+        .ok_or_else(|| {
+            VaultError::ShapeMismatch(format!(
+                "catalog names dump range {start}+{len}, dump holds {} bytes",
+                dump.len()
+            ))
+        })?;
+    Ok(TableScan::whole(start as u64, bytes.to_vec()))
 }
 
 #[cfg(test)]
@@ -1815,8 +1757,19 @@ mod tests {
         let (restored, stats) = vault.restore_all(&out.bootstrap, &scans).unwrap();
         assert_eq!(restored, dump);
         assert_eq!(stats.path, RestorePath::Classic);
-        let (table, _) = vault.restore_table(&out.bootstrap, &scans, "t").unwrap();
+        let (table, stats) = vault.restore_table(&out.bootstrap, &scans, "t").unwrap();
         assert_eq!(&table[..], &dump[..table.len()]);
+        assert_eq!(stats.path, RestorePath::Classic);
+        // No catalog, so nothing to prune by: a predicate excluding every
+        // row still yields the whole table as one piece.
+        let pred = ZonePredicate::all().with(zones::ColumnRange::at_most("a", "0"));
+        let (scan, qstats) = vault
+            .query_table(&out.bootstrap, &scans, "t", &pred)
+            .unwrap();
+        assert!(!scan.pruned);
+        assert_eq!(scan.zones_selected, 1);
+        assert_eq!(scan.pieces, vec![(0, table)]);
+        assert_eq!(qstats.restore.path, stats.path);
     }
 
     #[test]

@@ -83,11 +83,10 @@ fn row_matches(pred: &ZonePredicate, columns: &[&str], row: &str) -> bool {
         let Some(v) = fields.get(ci) else {
             return false;
         };
-        let lo_ok = r
-            .lo
-            .as_deref()
-            .is_none_or(|lo| ule::vault::zones::zone_value_cmp(v, lo) != std::cmp::Ordering::Less);
-        let hi_ok = r.hi.as_deref().is_none_or(|hi| {
+        let lo_ok = r.lo.as_deref().map_or(true, |lo| {
+            ule::vault::zones::zone_value_cmp(v, lo) != std::cmp::Ordering::Less
+        });
+        let hi_ok = r.hi.as_deref().map_or(true, |hi| {
             ule::vault::zones::zone_value_cmp(v, hi) != std::cmp::Ordering::Greater
         });
         lo_ok && hi_ok

@@ -15,10 +15,11 @@
 //! (`e10-smoke`) runs this file serial and 4-threaded.
 
 use ule::fault::{FaultPlan, FrameBlankFault};
-use ule::olonys::MicrOlonys;
+use ule::olonys::{Bootstrap, MicrOlonys};
 use ule::par::ThreadConfig;
 use ule::vault::layout::StreamId;
-use ule::vault::{ReelScans, RestorePath, ShardPlan, Vault, VaultError};
+use ule::vault::zones::{ColumnRange, ZonePredicate};
+use ule::vault::{ReelScans, RestorePath, ShardPlan, Vault, VaultArchive, VaultError};
 
 fn threads() -> ThreadConfig {
     ThreadConfig::from_env_or(ThreadConfig::Serial)
@@ -45,6 +46,75 @@ fn dump() -> Vec<u8> {
     ule::tpch::dump_for_scale(0.0001, 77)
 }
 
+/// The catalog's slice of `dump` for `table`.
+fn catalog_slice<'a>(arc: &VaultArchive, dump: &'a [u8], table: &str) -> &'a [u8] {
+    let entry = arc.index.find(table).unwrap();
+    let start = entry.dump_start as usize;
+    &dump[start..start + entry.dump_len as usize]
+}
+
+/// Find a `(table, reel)` pair where the reel is pure data stream and the
+/// table needs some but not all of its frames; returns the reel offsets
+/// the table needs, ascending.
+fn pick_partially_covered_data_reel(arc: &VaultArchive) -> (&'static str, usize, Vec<usize>) {
+    let layout = arc.layout;
+    let data_start = layout.sys_frames() + layout.index_frames();
+    for table in ["lineitem", "orders", "customer", "partsupp"] {
+        let Some(entry) = arc.index.find(table) else {
+            continue;
+        };
+        let positions: Vec<usize> = arc
+            .index
+            .chunk_range(entry)
+            .map(|c| layout.chunk_position(StreamId::Data, c))
+            .collect();
+        for r in 0..layout.content_reels() {
+            if r * layout.reel_capacity < data_start {
+                continue; // holds sys/index frames: whole-reel territory
+            }
+            let offsets: Vec<usize> = positions
+                .iter()
+                .map(|&p| layout.reel_of(p))
+                .filter(|&(reel, _)| reel == r)
+                .map(|(_, j)| j)
+                .collect();
+            if !offsets.is_empty() && offsets.len() < layout.reel_frames(r) {
+                return (table, r, offsets);
+            }
+        }
+    }
+    panic!("no table partially covers a data reel");
+}
+
+/// A fallback rung serves pruning queries too: a predicate that would
+/// prune `lineitem` on a readable catalog still yields one unpruned piece
+/// equal to the catalog slice, down the same path as `restore_table`.
+fn assert_query_takes_the_same_fallback(
+    v: &Vault,
+    arc: &VaultArchive,
+    bootstrap: &Bootstrap,
+    scans: &ReelScans,
+    dump: &[u8],
+) {
+    let entry = arc.index.find("lineitem").unwrap();
+    let pred = ZonePredicate::all().with(ColumnRange::at_most("l_shipdate", "1000-01-01"));
+    let spans = entry.zone_spans().expect("lineitem is zone-mapped");
+    assert!(
+        spans
+            .iter()
+            .any(|s| !pred.may_match(&entry.zone_columns, s.info)),
+        "the predicate must prune on a readable catalog"
+    );
+    let (_, restored) = v.restore_table(bootstrap, scans, "lineitem").unwrap();
+    let (scan, stats) = v.query_table(bootstrap, scans, "lineitem", &pred).unwrap();
+    assert!(!scan.pruned);
+    assert_eq!(scan.zones_selected, 1);
+    assert_eq!(scan.pieces.len(), 1);
+    assert_eq!(scan.pieces[0].0, entry.dump_start);
+    assert_eq!(scan.pieces[0].1, catalog_slice(arc, dump, "lineitem"));
+    assert_eq!(stats.restore.path, restored.path);
+}
+
 #[test]
 fn damaged_index_falls_back_to_full_restore_byte_identical() {
     let v = vault();
@@ -69,6 +139,7 @@ fn damaged_index_falls_back_to_full_restore_byte_identical() {
     assert_eq!(stats.path, RestorePath::Full);
     let start = entry.dump_start as usize;
     assert_eq!(bytes, &dump[start..start + entry.dump_len as usize]);
+    assert_query_takes_the_same_fallback(&v, &arc, &arc.bootstrap, &scans, &dump);
 }
 
 #[test]
@@ -89,6 +160,7 @@ fn bad_index_crc_in_manifest_falls_back_byte_identical() {
     assert_eq!(stats.path, RestorePath::Full);
     let start = entry.dump_start as usize;
     assert_eq!(bytes, &dump[start..start + entry.dump_len as usize]);
+    assert_query_takes_the_same_fallback(&v, &arc, &bootstrap, &scans, &dump);
 }
 
 #[test]
@@ -381,35 +453,8 @@ fn degraded_selective_restore_rebuilds_only_needed_frames() {
     let arc = v.archive(&dump);
     let layout = arc.layout;
     let pristine = v.scan_reels(&arc, 44);
-    let data_start = layout.sys_frames() + layout.index_frames();
-
-    // Find a (table, reel) pair where the reel is pure data stream and
-    // the table needs some but not all of its frames.
-    let mut picked = None;
-    'outer: for table in ["lineitem", "orders", "customer", "partsupp"] {
-        let Some(entry) = arc.index.find(table) else {
-            continue;
-        };
-        let positions: Vec<usize> = arc
-            .index
-            .chunk_range(entry)
-            .map(|c| layout.chunk_position(StreamId::Data, c))
-            .collect();
-        for r in 0..layout.content_reels() {
-            if r * layout.reel_capacity < data_start {
-                continue; // holds sys/index frames: whole-reel territory
-            }
-            let needed = positions
-                .iter()
-                .filter(|&&p| layout.reel_of(p).0 == r)
-                .count();
-            if needed > 0 && needed < layout.reel_frames(r) {
-                picked = Some((table, r, needed));
-                break 'outer;
-            }
-        }
-    }
-    let (table, lost, needed) = picked.expect("some table partially covers a data reel");
+    let (table, lost, offsets) = pick_partially_covered_data_reel(&arc);
+    let needed = offsets.len();
 
     let mut scans = pristine.clone();
     scans[lost] = None;
@@ -424,6 +469,44 @@ fn degraded_selective_restore_rebuilds_only_needed_frames() {
     assert_eq!(stats.reels_reconstructed, 1);
     let start = entry.dump_start as usize;
     assert_eq!(bytes, &dump[start..start + entry.dump_len as usize]);
+}
+
+#[test]
+fn partial_rebuild_then_full_scan_fallback_rebuilds_the_rest_of_the_reel() {
+    // A selective read rebuilds the offsets it needs of a lost reel, but
+    // the group sibling is blank at one of them, so that frame cannot be
+    // solved and the read falls back to the full scan. The full scan must
+    // rebuild the rest of the lost reel (keeping the frames already
+    // rebuilt) and let the outer code absorb the two blank frames.
+    let v = vault();
+    let dump = dump();
+    let arc = v.archive(&dump);
+    let layout = arc.layout;
+    let mut scans = v.scan_reels(&arc, 44);
+    let (table, lost, offsets) = pick_partially_covered_data_reel(&arc);
+    let sibling = layout
+        .group_members(layout.group_of(lost))
+        .find(|&r| r != lost)
+        .expect("the lost reel has a group sibling");
+    let blank = FaultPlan::single(FrameBlankFault);
+    let frames = scans[sibling].as_mut().unwrap();
+    let j = offsets[0];
+    frames[j] = blank.apply(&frames[j..j + 1], 1.0, 3)[0].clone();
+    scans[lost] = None;
+
+    let expected = catalog_slice(&arc, &dump, table);
+    let (bytes, stats) = v.restore_table(&arc.bootstrap, &scans, table).unwrap();
+    assert_eq!(stats.path, RestorePath::SelectiveFallback, "{table}");
+    assert_eq!(bytes, expected, "{table}");
+    let (scan, qstats) = v
+        .query_table(&arc.bootstrap, &scans, table, &ZonePredicate::all())
+        .unwrap();
+    assert_eq!(
+        qstats.restore.path,
+        RestorePath::SelectiveFallback,
+        "{table}"
+    );
+    assert_eq!(scan.concat(), expected, "{table}");
 }
 
 #[test]
