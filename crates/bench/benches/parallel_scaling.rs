@@ -78,6 +78,7 @@ fn parallel_scaling(c: &mut Criterion) {
             scheme: ule_compress::Scheme::Lzss,
             with_parity: true,
             threads: cfg(threads),
+            telemetry: ule_obs::Telemetry::off(),
         };
         g.bench_with_input(BenchmarkId::from_parameter(threads), &sys, |b, sys| {
             b.iter(|| black_box(sys.archive(black_box(&dump))))

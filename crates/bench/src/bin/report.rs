@@ -110,77 +110,71 @@ impl Recorder {
     }
 }
 
+/// A report section's runner: `(full, alone, checks, recorder)`, where
+/// `alone` is set when its `--<id>` flag selected it by itself.
+type Run = fn(bool, bool, &mut Checks, &mut Recorder);
+
+/// The experiment registry, in run order: `(id, run, has_flag)`. Every
+/// entry runs in the default report; entries with `has_flag` also run
+/// alone under `--<id>` (the per-experiment CI legs gate them without
+/// re-deriving every other experiment).
+const EXPERIMENTS: &[(&str, Run, bool)] = &[
+    ("t1", |_, _, _, _| t1_isa(), false),
+    ("e1", |full, _, c, _| e1_paper_archive(full, c), false),
+    ("e2", |_, _, _, _| e2_microfilm(), false),
+    ("e3", |_, _, _, _| e3_cinema(), false),
+    ("e4", |_, _, c, _| e4_robustness(c), false),
+    ("e5", |_, _, _, _| e5_portability(), false),
+    ("e6", |full, _, _, _| e6_compression(full), false),
+    ("e7", |_, _, _, _| e7_emulation_overhead(), false),
+    ("e8", |full, _, c, r| e8_parallel_scaling(full, c, r), false),
+    ("e9", |full, _, c, _| e9_recovery_envelope(full, c), false),
+    ("e10", |full, _, c, r| e10_vault(full, c, r), false),
+    ("e11", |_, _, c, r| e11_kernels(c, r), true),
+    // Alone, E12 also times the nested-VeRisc tier (the only emulated
+    // path before the threaded engine), which is too slow for the
+    // default gate run.
+    (
+        "e12",
+        |full, alone, c, r| e12_emulated_restore(full || alone, c, r),
+        true,
+    ),
+    ("e13", |full, _, c, r| e13_query(full, c, r), true),
+    ("e14", |full, _, c, r| e14_obs(full, c, r), true),
+    ("e15", |full, _, c, r| e15_repair(full, c, r), true),
+];
+
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
-    // `--e11` / `--e12` run only that section (the CI `e11-kernels` and
-    // `e12-emulated` legs gate them without re-deriving every other
-    // experiment).
-    let e11_only = std::env::args().any(|a| a == "--e11");
-    let e12_only = std::env::args().any(|a| a == "--e12");
-    let e13_only = std::env::args().any(|a| a == "--e13");
-    let e14_only = std::env::args().any(|a| a == "--e14");
-    let e15_only = std::env::args().any(|a| a == "--e15");
+    let args: Vec<String> = std::env::args().collect();
+    let full = args.iter().any(|a| a == "--full");
+    let alone = EXPERIMENTS.iter().find(|(id, _, has_flag)| {
+        *has_flag && args.iter().any(|a| a.strip_prefix("--") == Some(*id))
+    });
     println!(
         "ULE / Micr'Olonys evaluation report ({} mode{})",
         if full { "full" } else { "quick" },
-        if e11_only {
-            ", [E11] only"
-        } else if e12_only {
-            ", [E12] only"
-        } else if e13_only {
-            ", [E13] only"
-        } else if e14_only {
-            ", [E14] only"
-        } else if e15_only {
-            ", [E15] only"
-        } else {
-            ""
-        }
+        alone.map_or(String::new(), |(id, _, _)| format!(
+            ", [{}] only",
+            id.to_uppercase()
+        ))
     );
     println!("==========================================================");
     let mut checks = Checks::default();
     let mut rec = Recorder {
-        mode: match (full, e11_only, e12_only, e13_only, e14_only, e15_only) {
-            (_, true, _, _, _, _) => "e11".into(),
-            (_, _, true, _, _, _) => "e12".into(),
-            (_, _, _, true, _, _) => "e13".into(),
-            (_, _, _, _, true, _) => "e14".into(),
-            (_, _, _, _, _, true) => "e15".into(),
-            (true, _, _, _, _, _) => "full".into(),
-            _ => "quick".into(),
+        mode: match alone {
+            Some((id, _, _)) => id.to_string(),
+            None if full => "full".into(),
+            None => "quick".into(),
         },
         ..Recorder::default()
     };
-    if e11_only {
-        e11_kernels(&mut checks, &mut rec);
-    } else if e12_only {
-        // The dedicated leg also times the nested-VeRisc tier (the only
-        // emulated path before the threaded engine), which is too slow
-        // for the default gate run.
-        e12_emulated_restore(true, &mut checks, &mut rec);
-    } else if e13_only {
-        e13_query(full, &mut checks, &mut rec);
-    } else if e14_only {
-        e14_obs(full, &mut checks, &mut rec);
-    } else if e15_only {
-        e15_repair(full, &mut checks, &mut rec);
-    } else {
-        t1_isa();
-        e1_paper_archive(full, &mut checks);
-        e2_microfilm();
-        e3_cinema();
-        e4_robustness(&mut checks);
-        e5_portability();
-        e6_compression(full);
-        e7_emulation_overhead();
-        e8_parallel_scaling(full, &mut checks, &mut rec);
-        e9_recovery_envelope(full, &mut checks);
-        e10_vault(full, &mut checks, &mut rec);
-        e11_kernels(&mut checks, &mut rec);
-        e12_emulated_restore(full, &mut checks, &mut rec);
-        e13_query(full, &mut checks, &mut rec);
-        e14_obs(full, &mut checks, &mut rec);
-        e15_repair(full, &mut checks, &mut rec);
+    match alone {
+        Some((_, run, _)) => run(full, true, &mut checks, &mut rec),
+        None => {
+            for (_, run, _) in EXPERIMENTS {
+                run(full, false, &mut checks, &mut rec);
+            }
+        }
     }
     rec.write("BENCH_report.json", &checks);
     if checks.failures.is_empty() {
@@ -411,6 +405,7 @@ fn e5_portability() {
         scheme: Scheme::Lzss,
         with_parity: false,
         threads: ThreadConfig::Serial,
+        telemetry: ule_obs::Telemetry::off(),
     };
     let dump = b"COPY t (k) FROM stdin;\n1\n2\n3\n\\.\n".to_vec();
     let out = sys.archive(&dump);
@@ -532,6 +527,7 @@ fn e8_parallel_scaling(full: bool, checks: &mut Checks, rec: &mut Recorder) {
             } else {
                 ThreadConfig::Fixed(threads)
             },
+            telemetry: ule_obs::Telemetry::off(),
         };
         let t = Instant::now();
         let out = sys.archive(&dump);
@@ -927,9 +923,9 @@ fn e14_obs(full: bool, checks: &mut Checks, rec: &mut Recorder) {
     // Gate 1: the recorder only observes — restored bytes (and the RS
     // work done to get them) are identical with telemetry on and off.
     let (bytes_off, stats_off) = sys.restore_native(&scans).expect("restore, telemetry off");
-    let tel_probe = Telemetry::enabled();
-    let (bytes_on, stats_on) = sys
-        .restore_native_traced(&scans, &tel_probe)
+    let sys_on = sys.clone().with_telemetry(Telemetry::enabled());
+    let (bytes_on, stats_on) = sys_on
+        .restore_native(&scans)
         .expect("restore, telemetry on");
     checks.check(
         "e14_identity",
@@ -940,13 +936,13 @@ fn e14_obs(full: bool, checks: &mut Checks, rec: &mut Recorder) {
     );
 
     // Gate 2: enabled-mode restore overhead. Median-of-3 same-process
-    // A/B, like every other ratio in this report.
+    // A/B, like every other ratio in this report. Only the restore is
+    // timed: both systems are built before the clock starts.
     let t_off = time_med3(|| {
         std::hint::black_box(sys.restore_native(&scans).expect("restore"));
     });
     let t_on = time_med3(|| {
-        let tel = Telemetry::enabled();
-        std::hint::black_box(sys.restore_native_traced(&scans, &tel).expect("restore"));
+        std::hint::black_box(sys_on.restore_native(&scans).expect("restore"));
     });
     let overhead = t_on.as_secs_f64() / t_off.as_secs_f64().max(1e-9) - 1.0;
     println!(
@@ -966,7 +962,8 @@ fn e14_obs(full: bool, checks: &mut Checks, rec: &mut Recorder) {
     // fault-injected scan/decode, a selective restore and an E13 query —
     // the whole Figure-2 loop in a single span tree.
     let tel = Telemetry::enabled();
-    let traced = sys.archive_traced(&dump, &tel);
+    let sys_traced = sys.clone().with_telemetry(tel.clone());
+    let traced = sys_traced.archive(&dump);
     assert_eq!(traced.stats.archive_bytes, out.stats.archive_bytes);
     // `ule_fault` damage: blotches at 3% area on every data frame — inside
     // the inner code's E4 budget, so the restore succeeds *by correcting*
@@ -980,8 +977,8 @@ fn e14_obs(full: bool, checks: &mut Checks, rec: &mut Recorder) {
         })
         .expect("some blotch severity decodes on the tiny medium");
     let damaged = plan.apply(&scans, severity, 0xE14C0DE);
-    let (dbytes, dstats) = sys
-        .restore_native_traced(&damaged, &tel)
+    let (dbytes, dstats) = sys_traced
+        .restore_native(&damaged)
         .expect("damaged restore");
     checks.check(
         "e14_damage_bit_exact",
@@ -1514,6 +1511,7 @@ fn e12_emulated_restore(measure_nested: bool, checks: &mut Checks, rec: &mut Rec
         scheme: Scheme::Lzss,
         with_parity: false,
         threads: ThreadConfig::Serial,
+        telemetry: ule_obs::Telemetry::off(),
     };
     let dump = ule_tpch::dump_for_scale(0.0001, 2026);
     let out = sys.archive(&dump);

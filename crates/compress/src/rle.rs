@@ -121,7 +121,7 @@ mod tests {
 
     #[test]
     fn truncated_detected() {
-        let c = compress(&vec![9u8; 100]);
+        let c = compress(&[9u8; 100]);
         assert_eq!(decompress(&c[..1], 100).unwrap_err(), RleError::Truncated);
     }
 }

@@ -36,6 +36,12 @@ pub struct MicrOlonys {
     /// and the fifty-years-from-now reimplementation must not need
     /// threads).
     pub threads: ThreadConfig,
+    /// Pipeline telemetry recorder, held like `threads`: `archive`, the
+    /// native and selective restores, and a vault built on this system
+    /// record into it. Defaults to [`Telemetry::off`], a null check per call. The
+    /// recorder only observes — frames, Bootstrap, restored bytes and
+    /// stats are byte-identical with it on or off.
+    pub telemetry: Telemetry,
 }
 
 /// Everything `archive` produces — the package that goes to the film
@@ -69,6 +75,7 @@ impl MicrOlonys {
             scheme: Scheme::Lzss,
             with_parity: true,
             threads: ThreadConfig::Serial,
+            telemetry: Telemetry::off(),
         }
     }
 
@@ -79,6 +86,7 @@ impl MicrOlonys {
             scheme: Scheme::Lzss,
             with_parity: true,
             threads: ThreadConfig::Serial,
+            telemetry: Telemetry::off(),
         }
     }
 
@@ -89,19 +97,19 @@ impl MicrOlonys {
         self
     }
 
-    /// Archive a textual database dump: compress (DBCoder), lay out as
-    /// emblems (MOCoder), render to media frames, and produce the
-    /// Bootstrap document.
-    pub fn archive(&self, dump: &[u8]) -> ArchiveOutput {
-        self.archive_traced(dump, &Telemetry::off())
+    /// This configuration with a telemetry recorder attached (builder
+    /// style, like [`MicrOlonys::with_threads`]).
+    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        self.telemetry = telemetry;
+        self
     }
 
-    /// [`MicrOlonys::archive`] with pipeline telemetry: spans for the
-    /// compress, encode and print stages plus codec/emblem counters. The
-    /// recorder only observes — frames, Bootstrap and stats are
-    /// byte-identical to the untraced path (the default [`Telemetry::off`]
-    /// handle is a null check per call).
-    pub fn archive_traced(&self, dump: &[u8], tel: &Telemetry) -> ArchiveOutput {
+    /// Archive a textual database dump: compress (DBCoder), lay out as
+    /// emblems (MOCoder), render to media frames, and produce the
+    /// Bootstrap document. Records spans for the compress, encode and
+    /// print stages plus codec/emblem counters into `self.telemetry`.
+    pub fn archive(&self, dump: &[u8]) -> ArchiveOutput {
+        let tel = &self.telemetry;
         let _span = tel.span("archive");
         let geom = self.medium.geometry;
         // Step 2: DBCoder. (Inherently sequential: LZSS match-finding and
@@ -239,6 +247,7 @@ mod tests {
             scheme: Scheme::Lzss,
             with_parity: false,
             threads: ThreadConfig::Serial,
+            telemetry: Telemetry::off(),
         };
         let dump = b"COPY t (a) FROM stdin;\n1\n\\.\n".to_vec();
         let out = sys.archive(&dump);

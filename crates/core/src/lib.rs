@@ -20,8 +20,9 @@
 //! damage recovery.
 //!
 //! The archive pipeline and the native restore fan their per-emblem work
-//! out across a [`ThreadConfig`] worker pool (`MicrOlonys { threads,
-//! .. }`), and the emulated restore fans its per-frame MODecode VM
+//! out across a [`ThreadConfig`] worker pool and record into a telemetry
+//! recorder, both fields of the system (`MicrOlonys { threads, telemetry,
+//! .. }`); the emulated restore fans its per-frame MODecode VM
 //! instances out the same way (pick the engine with [`EmulationTier`]).
 //! Output never depends on the thread count — the on-medium format is
 //! frozen (`DESIGN.md` §9).
@@ -32,5 +33,5 @@ pub mod restorer;
 
 pub use archiver::{ArchiveOutput, ArchiveStats, MicrOlonys};
 pub use bootstrap::document::{Bootstrap, BootstrapParseError, VaultManifest};
-pub use restorer::{EmulationTier, RestoreError, RestoreStats};
+pub use restorer::{EmulationTier, FramePayloads, RestoreError, RestoreStats};
 pub use ule_par::ThreadConfig;

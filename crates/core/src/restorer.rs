@@ -30,9 +30,8 @@ use ule_dynarisc::programs::{dbdecode, modecode};
 use ule_dynarisc::{ThreadedImage, Vm, VmError};
 use ule_emblem::geometry::RS_K;
 use ule_emblem::stream::{chunk_global_index, GROUP_DATA};
-use ule_emblem::{decode_stream, decode_stream_traced, EmblemHeader, EmblemKind, StreamError};
+use ule_emblem::{decode_stream_traced, EmblemHeader, EmblemKind, StreamError};
 use ule_gf256::crc::crc32_update;
-use ule_obs::Telemetry;
 use ule_par::ThreadConfig;
 use ule_raster::GrayImage;
 use ule_verisc::vm::{EngineKind, VeriscError};
@@ -148,6 +147,10 @@ pub struct RestoreStats {
     pub archive_bytes: usize,
 }
 
+/// Frame payloads keyed by global emblem index, in request order — what
+/// [`MicrOlonys::restore_frames`] returns.
+pub type FramePayloads = Vec<(usize, Vec<u8>)>;
+
 /// Which engine stack hosts the archived decoders on the emulated path.
 ///
 /// Every tier executes the same archived MODecode/DBDecode instruction
@@ -177,24 +180,14 @@ impl MicrOlonys {
     /// (locate → decode → inner RS errors correction) fans out across
     /// `self.threads`; the outer errors-and-erasures recovery joins the
     /// results in index order, so the restored bytes are identical at any
-    /// thread count.
+    /// thread count. Records a `restore.native` span, the per-frame RS
+    /// and erasure counters and the decompression codec counters into
+    /// `self.telemetry`.
     pub fn restore_native(
         &self,
         data_scans: &[GrayImage],
     ) -> Result<(Vec<u8>, RestoreStats), RestoreError> {
-        self.restore_native_traced(data_scans, &Telemetry::off())
-    }
-
-    /// [`MicrOlonys::restore_native`] with decode-health telemetry: a
-    /// `restore.native` span over the whole pass, the per-frame RS and
-    /// erasure counters from the stream decoder, and decompression codec
-    /// counters. The recorder only observes — restored bytes and stats
-    /// are identical to the untraced path.
-    pub fn restore_native_traced(
-        &self,
-        data_scans: &[GrayImage],
-        tel: &Telemetry,
-    ) -> Result<(Vec<u8>, RestoreStats), RestoreError> {
+        let tel = &self.telemetry;
         let _span = tel.span("restore.native");
         let geom = self.medium.geometry;
         let (archive, s) =
@@ -243,24 +236,15 @@ impl MicrOlonys {
     /// shelf), is reported as [`RestoreError::FrameLoss`] naming the
     /// affected indices so the caller can escalate — fetch the group's
     /// parity frames, or fall back to a full scan.
+    ///
+    /// The returned [`RestoreStats`] carries the per-frame decode health:
+    /// `corrected_symbols` aggregates the inner-RS fixes of every decoded
+    /// frame. Frames-requested/decoded counters go to `self.telemetry`.
     pub fn restore_frames(
         &self,
         scans: &[(usize, &GrayImage)],
-    ) -> Result<Vec<(usize, Vec<u8>)>, RestoreError> {
-        self.restore_frames_traced(scans, &Telemetry::off())
-            .map(|(out, _)| out)
-    }
-
-    /// [`MicrOlonys::restore_frames`] that also returns the per-frame
-    /// decode health the payload-only surface drops: a [`RestoreStats`]
-    /// whose `corrected_symbols` aggregates the inner-RS fixes of every
-    /// selectively decoded frame, plus frames-requested/decoded counters
-    /// on the telemetry recorder.
-    pub fn restore_frames_traced(
-        &self,
-        scans: &[(usize, &GrayImage)],
-        tel: &Telemetry,
-    ) -> Result<(Vec<(usize, Vec<u8>)>, RestoreStats), RestoreError> {
+    ) -> Result<(FramePayloads, RestoreStats), RestoreError> {
+        let tel = &self.telemetry;
         let _span = tel.span("restore.selective");
         let geom = self.medium.geometry;
         let results =
@@ -313,7 +297,8 @@ impl MicrOlonys {
     /// stream (a self-check the archiver can run before shipping media).
     pub fn verify_system_emblems(&self, system_scans: &[GrayImage]) -> Result<bool, RestoreError> {
         let geom = self.medium.geometry;
-        let (sys_bytes, _) = decode_stream(&geom, system_scans)?;
+        let (sys_bytes, _) =
+            decode_stream_traced(&geom, system_scans, self.threads, &self.telemetry)?;
         let expected: Vec<u8> = ule_dynarisc::programs::dbdecode::program()
             .iter()
             .flat_map(|w| w.to_le_bytes())
@@ -345,23 +330,6 @@ impl MicrOlonys {
         tier: EmulationTier,
         threads: ThreadConfig,
     ) -> Result<(Vec<u8>, RestoreStats), RestoreError> {
-        Self::restore_emulated_traced(bootstrap_text, scans, tier, threads, &Telemetry::off())
-    }
-
-    /// [`MicrOlonys::restore_emulated`] with emulation telemetry: spans
-    /// for the per-scan MODecode fan-out and the final DBDecode pass,
-    /// guest/VeRisc step counters, and per-tier dispatch counts (one
-    /// dispatch per guest program run). All recording happens on the
-    /// calling thread after the `ule_par` join, in input order, so the
-    /// restored bytes, stats and trace are identical at any thread count.
-    pub fn restore_emulated_traced(
-        bootstrap_text: &str,
-        scans: &[GrayImage],
-        tier: EmulationTier,
-        threads: ThreadConfig,
-        tel: &Telemetry,
-    ) -> Result<(Vec<u8>, RestoreStats), RestoreError> {
-        let _span = tel.span("restore.emulated");
         let boot = Bootstrap::parse(bootstrap_text)
             .map_err(|e| RestoreError::Archive(ArchiveError::Corrupt(e.to_string())))?;
         let mut stats = RestoreStats {
@@ -374,25 +342,17 @@ impl MicrOlonys {
         // The host tiers read MODecode back out of the Bootstrap's image
         // prefix — the document, not the native codebase, supplies the
         // decoder on every tier.
-        let outs: Vec<Result<(Vec<u8>, u64), RestoreError>> = {
-            let _frames = tel.span("restore.emulated.frames");
-            match tier {
-                EmulationTier::Nested(kind) => ule_par::map(threads, scans, |scan| {
-                    run_modecode_nested(&boot, scan, kind)
-                }),
-                _ => {
-                    let runner = GuestRunner::for_tier(tier, modecode_from_prefix(&boot)?);
-                    ule_par::map(threads, scans, |scan| {
-                        run_modecode_hosted(&boot, scan, &runner)
-                    })
-                }
+        let outs: Vec<Result<(Vec<u8>, u64), RestoreError>> = match tier {
+            EmulationTier::Nested(kind) => ule_par::map(threads, scans, |scan| {
+                run_modecode_nested(&boot, scan, kind)
+            }),
+            _ => {
+                let runner = GuestRunner::for_tier(tier, modecode_from_prefix(&boot)?);
+                ule_par::map(threads, scans, |scan| {
+                    run_modecode_hosted(&boot, scan, &runner)
+                })
             }
         };
-        tel.add("emulated.scans", scans.len() as u64);
-        tel.add(
-            &format!("emulated.dispatch.{}", tier_label(tier)),
-            scans.len() as u64,
-        );
         let mut decoded: Vec<(EmblemHeader, Vec<u8>)> = Vec::with_capacity(scans.len());
         let mut crc = 0xFFFF_FFFFu32;
         for (i, res) in outs.into_iter().enumerate() {
@@ -441,8 +401,6 @@ impl MicrOlonys {
             0
         };
         let (guest_mem, out_base) = layout::build_memory(&archive, out_len, &[]);
-        let _dbdecode = tel.span("restore.emulated.dbdecode");
-        tel.add(&format!("emulated.dispatch.{}", tier_label(tier)), 1);
         let guest = match tier {
             EmulationTier::Nested(kind) => {
                 let mut emu = NestedEmulator::from_image_prefix(
@@ -471,19 +429,7 @@ impl MicrOlonys {
         if status != 0 {
             return Err(RestoreError::DecoderStatus(status));
         }
-        tel.add("emulated.guest_steps", stats.guest_steps);
-        tel.add("emulated.verisc_steps", stats.verisc_steps);
         Ok((layout::read_output(&guest, out_base), stats))
-    }
-}
-
-/// Telemetry label of an [`EmulationTier`] (the `emulated.dispatch.*`
-/// counter family).
-fn tier_label(tier: EmulationTier) -> &'static str {
-    match tier {
-        EmulationTier::Threaded => "threaded",
-        EmulationTier::Interpreter => "interpreter",
-        EmulationTier::Nested(_) => "nested",
     }
 }
 
@@ -621,6 +567,69 @@ fn assemble_stream(
     Ok(out)
 }
 
+/// Host-side preprocessing sanctioned by the Bootstrap — pixel array
+/// (threshold 128) plus the MODecode parameter block and its laid-out
+/// guest memory.
+fn modecode_memory(boot: &Bootstrap, scan: &GrayImage) -> (Vec<u8>, u32, ModecodeParams) {
+    let pixels: Vec<u8> = scan
+        .as_bytes()
+        .iter()
+        .map(|&p| if p < 128 { 0u8 } else { 255 })
+        .collect();
+    let params = ModecodeParams {
+        width: scan.width() as u16,
+        height: scan.height() as u16,
+        cols: boot.cols as u16,
+        rows: boot.rows as u16,
+        cell_px: boot.cell_px as u16,
+        origin_px: boot.origin_px as u16,
+        nblocks: boot.nblocks as u16,
+        xoff: boot.xoff as u16,
+        yoff: boot.yoff as u16,
+    };
+    let max_out = 16 + 2 * boot.nblocks * 255 + 64;
+    let (guest_mem, out_base) = layout::build_memory(&pixels, max_out, &params.to_words());
+    (guest_mem, out_base, params)
+}
+
+/// Run MODecode inside the nested VeRisc emulator for one scan. Returns
+/// the output region and the VeRisc instruction count.
+fn run_modecode_nested(
+    boot: &Bootstrap,
+    scan: &GrayImage,
+    engine: EngineKind,
+) -> Result<(Vec<u8>, u64), RestoreError> {
+    let (guest_mem, out_base, _) = modecode_memory(boot, scan);
+    let mut emu =
+        NestedEmulator::from_image_prefix(&boot.image_prefix, boot.symbols.clone(), &guest_mem);
+    emu.reset_guest();
+    let cells = boot.cols as u64 * boot.rows as u64;
+    let budget = 2_000_000u64.saturating_add(cells * 60_000);
+    let steps = emu.run(engine, budget)?;
+    let guest = emu.dyn_mem();
+    let status = u16::from_le_bytes([guest[0], guest[1]]);
+    if status != 0 {
+        return Err(RestoreError::DecoderStatus(status));
+    }
+    Ok((layout::read_output(&guest, out_base), steps))
+}
+
+/// Run MODecode on a host DynaRisc engine for one scan. Returns the
+/// output region and the DynaRisc instruction count.
+fn run_modecode_hosted(
+    boot: &Bootstrap,
+    scan: &GrayImage,
+    runner: &GuestRunner,
+) -> Result<(Vec<u8>, u64), RestoreError> {
+    let (guest_mem, out_base, params) = modecode_memory(boot, scan);
+    let (mem, steps) = runner.run(guest_mem, modecode::step_budget(&params))?;
+    let status = u16::from_le_bytes([mem[0], mem[1]]);
+    if status != 0 {
+        return Err(RestoreError::DecoderStatus(status));
+    }
+    Ok((layout::read_output(&mem, out_base), steps))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -731,7 +740,7 @@ mod tests {
         // Emission order == global index order, so frame i carries index i.
         let picks: Vec<(usize, &ule_raster::GrayImage)> =
             [1usize, 4, 2].iter().map(|&i| (i, &scans[i])).collect();
-        let got = sys.restore_frames(&picks).unwrap();
+        let (got, _) = sys.restore_frames(&picks).unwrap();
         assert_eq!(got.len(), 3);
         assert_eq!(
             got.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
@@ -786,67 +795,4 @@ mod tests {
             Err(RestoreError::FrameLoss { missing, .. }) if missing == vec![0]
         ));
     }
-}
-
-/// Host-side preprocessing sanctioned by the Bootstrap — pixel array
-/// (threshold 128) plus the MODecode parameter block and its laid-out
-/// guest memory.
-fn modecode_memory(boot: &Bootstrap, scan: &GrayImage) -> (Vec<u8>, u32, ModecodeParams) {
-    let pixels: Vec<u8> = scan
-        .as_bytes()
-        .iter()
-        .map(|&p| if p < 128 { 0u8 } else { 255 })
-        .collect();
-    let params = ModecodeParams {
-        width: scan.width() as u16,
-        height: scan.height() as u16,
-        cols: boot.cols as u16,
-        rows: boot.rows as u16,
-        cell_px: boot.cell_px as u16,
-        origin_px: boot.origin_px as u16,
-        nblocks: boot.nblocks as u16,
-        xoff: boot.xoff as u16,
-        yoff: boot.yoff as u16,
-    };
-    let max_out = 16 + 2 * boot.nblocks * 255 + 64;
-    let (guest_mem, out_base) = layout::build_memory(&pixels, max_out, &params.to_words());
-    (guest_mem, out_base, params)
-}
-
-/// Run MODecode inside the nested VeRisc emulator for one scan. Returns
-/// the output region and the VeRisc instruction count.
-fn run_modecode_nested(
-    boot: &Bootstrap,
-    scan: &GrayImage,
-    engine: EngineKind,
-) -> Result<(Vec<u8>, u64), RestoreError> {
-    let (guest_mem, out_base, _) = modecode_memory(boot, scan);
-    let mut emu =
-        NestedEmulator::from_image_prefix(&boot.image_prefix, boot.symbols.clone(), &guest_mem);
-    emu.reset_guest();
-    let cells = boot.cols as u64 * boot.rows as u64;
-    let budget = 2_000_000u64.saturating_add(cells * 60_000);
-    let steps = emu.run(engine, budget)?;
-    let guest = emu.dyn_mem();
-    let status = u16::from_le_bytes([guest[0], guest[1]]);
-    if status != 0 {
-        return Err(RestoreError::DecoderStatus(status));
-    }
-    Ok((layout::read_output(&guest, out_base), steps))
-}
-
-/// Run MODecode on a host DynaRisc engine for one scan. Returns the
-/// output region and the DynaRisc instruction count.
-fn run_modecode_hosted(
-    boot: &Bootstrap,
-    scan: &GrayImage,
-    runner: &GuestRunner,
-) -> Result<(Vec<u8>, u64), RestoreError> {
-    let (guest_mem, out_base, params) = modecode_memory(boot, scan);
-    let (mem, steps) = runner.run(guest_mem, modecode::step_budget(&params))?;
-    let status = u16::from_le_bytes([mem[0], mem[1]]);
-    if status != 0 {
-        return Err(RestoreError::DecoderStatus(status));
-    }
-    Ok((layout::read_output(&mem, out_base), steps))
 }

@@ -13,6 +13,7 @@ fn micro_system() -> MicrOlonys {
         scheme: Scheme::Lzss,
         with_parity: false,
         threads: micr_olonys::ThreadConfig::Serial,
+        telemetry: ule_obs::Telemetry::off(),
     }
 }
 

@@ -128,7 +128,7 @@ pub fn program() -> Vec<u16> {
 
     // --- epilogue: out_len = original length (re-read from the header) ---
     a.bind(done);
-    a.ldi_d(3, (IN_BASE + 6) as u32);
+    a.ldi_d(3, IN_BASE + 6);
     a.ldm_word_inc(4, 3);
     a.ldm_word_inc(5, 3);
     a.ldi_d(3, OUT_LEN_ADDR);

@@ -56,8 +56,8 @@ pub fn content_cells(geom: &EmblemGeometry, header: &EmblemHeader, payload: &[u8
     let mut cells = vec![true; cols * rows];
 
     // Row 0: calibration dots.
-    for cx in 0..cols {
-        cells[cx] = calibration_level(cx);
+    for (cx, cell) in cells[..cols].iter_mut().enumerate() {
+        *cell = calibration_level(cx);
     }
 
     // Rows 1..=3: redundant header copies (one per row, rest of row white).

@@ -154,13 +154,11 @@ pub fn encode_stream_traced(
             jobs.push((header, ch));
             index += 1;
         }
-        if with_parity {
-            for pchunk in &parity_chunks[g] {
-                let header =
-                    EmblemHeader::new(EmblemKind::Parity, index, g as u16, cap as u32, total);
-                jobs.push((header, pchunk.as_slice()));
-                index += 1;
-            }
+        // Without the outer code `parity_chunks` is empty.
+        for pchunk in parity_chunks.get(g).into_iter().flatten() {
+            let header = EmblemHeader::new(EmblemKind::Parity, index, g as u16, cap as u32, total);
+            jobs.push((header, pchunk.as_slice()));
+            index += 1;
         }
     }
     tel.add("encode.data_emblems", p.data_emblems as u64);
@@ -425,7 +423,7 @@ pub fn decode_stream_traced(
     }
 
     // Per-group erasure recovery.
-    for group in 0..n_chunks.div_ceil(GROUP_DATA) {
+    for (group, group_parity) in parity.iter().enumerate() {
         let in_group = group_data_count(group, n_chunks);
         let base = group * GROUP_DATA;
         let missing: Vec<usize> = (0..in_group)
@@ -434,7 +432,7 @@ pub fn decode_stream_traced(
         if missing.is_empty() {
             continue;
         }
-        let parity_avail = parity[group].iter().filter(|p| p.is_some()).count();
+        let parity_avail = group_parity.iter().filter(|p| p.is_some()).count();
         let missing_parity = GROUP_PARITY - parity_avail;
         if missing.len() + missing_parity > GROUP_PARITY {
             // Name the absent frames by their global emblem indices. A
@@ -446,7 +444,7 @@ pub fn decode_stream_traced(
             let mut expected = in_group;
             if had_parity {
                 expected += GROUP_PARITY;
-                for (pi, p) in parity[group].iter().enumerate() {
+                for (pi, p) in group_parity.iter().enumerate() {
                     if p.is_none() {
                         absent.push((start + in_group + pi) as u16);
                     }
@@ -462,7 +460,7 @@ pub fn decode_stream_traced(
         let rs = RsCode::new(in_group + GROUP_PARITY, in_group);
         // Erasure positions in codeword coordinates.
         let mut erasures: Vec<usize> = missing.clone();
-        for (pi, p) in parity[group].iter().enumerate() {
+        for (pi, p) in group_parity.iter().enumerate() {
             if p.is_none() {
                 erasures.push(in_group + pi);
             }
@@ -478,7 +476,7 @@ pub fn decode_stream_traced(
                     .as_ref()
                     .map_or(0, |c| c.get(j).copied().unwrap_or(0));
             }
-            for (pi, p) in parity[group].iter().enumerate() {
+            for (pi, p) in group_parity.iter().enumerate() {
                 col[in_group + pi] = p.as_ref().map_or(0, |c| c[j]);
             }
             let fixed =

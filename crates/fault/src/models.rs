@@ -536,7 +536,7 @@ mod tests {
     #[test]
     fn frame_loss_drops_exact_count() {
         let m = FrameLossFault;
-        let set: Vec<GrayImage> = (0..10).map(|i| frame(i)).collect();
+        let set: Vec<GrayImage> = (0..10).map(frame).collect();
         let mut s = set.clone();
         m.apply_set(&mut s, 0.3, &mut SplitMix64::new(4));
         assert_eq!(s.len(), 7);
@@ -550,7 +550,7 @@ mod tests {
     #[test]
     fn frame_reorder_permutes_without_losing_any() {
         let m = FrameReorderFault;
-        let set: Vec<GrayImage> = (0..10).map(|i| frame(i)).collect();
+        let set: Vec<GrayImage> = (0..10).map(frame).collect();
         let mut s = set.clone();
         m.apply_set(&mut s, 0.5, &mut SplitMix64::new(6));
         assert_eq!(s.len(), 10);

@@ -753,12 +753,9 @@ impl FuzzTarget for MasmBuilder {
                 _ => m.halt(),
             }
         }
-        match m.try_finish(2) {
-            Ok(image) => {
-                let mut engine = Engine::new(EngineKind::MatchBased, image.mem);
-                let _ = engine.run(VM_FUEL);
-            }
-            Err(_) => {}
+        if let Ok(image) = m.try_finish(2) {
+            let mut engine = Engine::new(EngineKind::MatchBased, image.mem);
+            let _ = engine.run(VM_FUEL);
         }
     }
 }

@@ -734,6 +734,9 @@ mod tests {
     /// The pre-kernel scalar parity loop, retained as the reference the
     /// SWAR rewrite is pinned against (and mirrored by the E11 baseline in
     /// `ule_bench::scalar`).
+    // Kept verbatim as the pinned reference: an iterator rewrite would be
+    // a different loop than the one the kernel is measured against.
+    #[allow(clippy::needless_range_loop)]
     fn fill_parity_scalar(rs: &RsCode, cw: &mut [u8]) {
         let p = rs.parity_len();
         let mut rem = vec![0u8; p];

@@ -77,8 +77,8 @@ proptest! {
         let gen = rs.generator();
         let p = rs.parity_len();
         let mut rem = vec![0u8; p];
-        for j in 0..rs.k() {
-            let factor = msg[j] ^ rem[0];
+        for &m in &msg[..rs.k()] {
+            let factor = m ^ rem[0];
             rem.copy_within(1.., 0);
             rem[p - 1] = 0;
             if factor != 0 {

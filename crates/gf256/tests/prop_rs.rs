@@ -154,8 +154,8 @@ proptest! {
                 .map(|col| if erased.contains(&col) { 0 } else { column(col, i) })
                 .collect();
             rs.decode(&mut cw, &erased).unwrap();
-            for col in 0..n {
-                prop_assert_eq!(cw[col], column(col, i), "column {} byte {}", col, i);
+            for (col, &byte) in cw.iter().enumerate() {
+                prop_assert_eq!(byte, column(col, i), "column {} byte {}", col, i);
             }
         }
     }

@@ -118,8 +118,8 @@ impl GrayImage {
         let mut w_b = 0u64;
         let mut best_t = 128u8;
         let mut best_var = -1.0f64;
-        for t in 0..256usize {
-            w_b += hist[t];
+        for (t, &count) in hist.iter().enumerate() {
+            w_b += count;
             if w_b == 0 {
                 continue;
             }
@@ -127,7 +127,7 @@ impl GrayImage {
             if w_f == 0 {
                 break;
             }
-            sum_b += t as u64 * hist[t];
+            sum_b += t as u64 * count;
             let m_b = sum_b as f64 / w_b as f64;
             let m_f = (sum_all - sum_b) as f64 / w_f as f64;
             let var = w_b as f64 * w_f as f64 * (m_b - m_f) * (m_b - m_f);

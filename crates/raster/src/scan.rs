@@ -181,8 +181,7 @@ impl Scanner {
         // frame has tens of millions of pixels).
         let mut out = GrayImage::new(out_w, out_h, 0);
         let identity_geometry = p.lens_k == 0.0 && p.row_jitter == 0.0 && p.scan_scale == 1.0;
-        for y in 0..out_h {
-            let jit = jitter[y];
+        for (y, &jit) in jitter.iter().enumerate() {
             for x in 0..out_w {
                 let mut v = if identity_geometry {
                     master.get(x, y) as f64

@@ -131,10 +131,10 @@ fn comment(rng: &mut Xorshift, max_words: usize) -> String {
         if i > 0 {
             out.push(' ');
         }
-        let word: &str = match i % 3 {
-            0 => *rng.pick(&ADVERBS),
-            1 => *rng.pick(&NOUNS),
-            _ => *rng.pick(&VERBS),
+        let word = match i % 3 {
+            0 => rng.pick(&ADVERBS),
+            1 => rng.pick(&NOUNS),
+            _ => rng.pick(&VERBS),
         };
         out.push_str(word);
     }

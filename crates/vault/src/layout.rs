@@ -152,10 +152,9 @@ impl ReelLayout {
 
     /// `(reel, offset)` of global frame position `pos`.
     pub fn reel_of(&self, pos: usize) -> (usize, usize) {
-        if self.reel_capacity == 0 {
-            (0, pos)
-        } else {
-            (pos / self.reel_capacity, pos % self.reel_capacity)
+        match pos.checked_div(self.reel_capacity) {
+            Some(reel) => (reel, pos % self.reel_capacity),
+            None => (0, pos),
         }
     }
 

@@ -71,11 +71,15 @@ use ule_gf256::crc::{crc32, crc32_update};
 use ule_gf256::RsCode;
 use ule_obs::Telemetry;
 use ule_raster::GrayImage;
-use zones::{split_segment, ZonePredicate, ZoneSpec};
+use zones::{split_segment, ZonePiece, ZonePredicate, ZoneSpec};
 
 /// Scanned reels, aligned with [`VaultArchive::reels`]: `None` marks a
 /// reel that is physically gone (lost, burned, unreadable end to end).
 pub type ReelScans = Vec<Option<Vec<GrayImage>>>;
+
+/// One frame out of [`Vault::reconstruct_group_frames`]:
+/// `((reel, offset), image, recovered)`.
+pub(crate) type RebuiltFrame = ((usize, usize), GrayImage, bool);
 
 /// A reel's role on the shelf.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -362,7 +366,7 @@ impl From<IndexError> for VaultError {
 }
 
 /// The vault configuration: a base [`MicrOlonys`] system (medium, DBCoder
-/// scheme, worker pool) plus the reel topology.
+/// scheme, worker pool, telemetry recorder) plus the reel topology.
 #[derive(Clone)]
 pub struct Vault {
     pub system: MicrOlonys,
@@ -371,10 +375,6 @@ pub struct Vault {
     /// Zone-map spec applied at archive time (`None` = every segment is
     /// one opaque record — byte-identical to pre-zone-map composition).
     pub zone_spec: Option<ZoneSpec>,
-    /// Pipeline telemetry handle. Off by default; the recorder only
-    /// observes (spans, counters) — restored bytes are identical either
-    /// way.
-    pub telemetry: Telemetry,
 }
 
 impl Vault {
@@ -384,7 +384,6 @@ impl Vault {
             system,
             plan: ShardPlan::unsharded(),
             zone_spec: Some(ZoneSpec::tpch_default()),
-            telemetry: Telemetry::off(),
         }
     }
 
@@ -404,13 +403,15 @@ impl Vault {
             system,
             plan,
             zone_spec: Some(ZoneSpec::tpch_default()),
-            telemetry: Telemetry::off(),
         }
     }
 
     /// This vault with a telemetry recorder attached (builder style).
+    /// The recorder lives on [`Vault::system`]
+    /// ([`MicrOlonys::telemetry`]), so the shelf and the frame decodes
+    /// under it record into one place.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
+        self.system.telemetry = telemetry;
         self
     }
 
@@ -444,8 +445,8 @@ impl Vault {
         // catalog entry.
         struct SegPlan {
             zone_columns: Vec<String>,
-            // (absolute dump start, len, rows, stats) per piece.
-            pieces: Vec<(usize, usize, u64, Vec<(String, String)>)>,
+            // Pieces with absolute dump starts.
+            pieces: Vec<ZonePiece>,
         }
         let plans: Vec<SegPlan> = segments
             .iter()
@@ -463,7 +464,10 @@ impl Vault {
                                 zone_columns: cols.to_vec(),
                                 pieces: pieces
                                     .into_iter()
-                                    .map(|p| (s.start + p.start, p.len, p.rows, p.stats))
+                                    .map(|p| ZonePiece {
+                                        start: s.start + p.start,
+                                        ..p
+                                    })
                                     .collect(),
                             };
                         }
@@ -471,7 +475,12 @@ impl Vault {
                 }
                 SegPlan {
                     zone_columns: Vec::new(),
-                    pieces: vec![(s.start, s.len, 0, Vec::new())],
+                    pieces: vec![ZonePiece {
+                        start: s.start,
+                        len: s.len,
+                        rows: 0,
+                        stats: Vec::new(),
+                    }],
                 }
             })
             .collect();
@@ -480,7 +489,7 @@ impl Vault {
         // fan-out into length-prefixed records.
         let flat: Vec<(usize, usize)> = plans
             .iter()
-            .flat_map(|p| p.pieces.iter().map(|&(start, len, _, _)| (start, len)))
+            .flat_map(|p| p.pieces.iter().map(|piece| (piece.start, piece.len)))
             .collect();
         let records: Vec<Vec<u8>> = ule_par::map(self.system.threads, &flat, |&(start, len)| {
             let container = ule_compress::compress(self.system.scheme, &dump[start..start + len]);
@@ -496,13 +505,13 @@ impl Vault {
         for (s, plan) in segments.iter().zip(&plans) {
             let archive_start = data_bytes.len() as u64;
             let mut zones = Vec::with_capacity(plan.pieces.len());
-            for &(_, piece_len, rows, ref stats) in &plan.pieces {
+            for piece in &plan.pieces {
                 let rec = rec_it.next().expect("one record per piece");
                 zones.push(ZoneInfo {
                     archive_len: rec.len() as u64,
-                    dump_len: piece_len as u64,
-                    rows,
-                    stats: stats.clone(),
+                    dump_len: piece.len as u64,
+                    rows: piece.rows,
+                    stats: piece.stats.clone(),
                 });
                 data_bytes.extend_from_slice(&rec);
             }
@@ -724,7 +733,7 @@ impl Vault {
         bootstrap: &Bootstrap,
         reels: &ReelScans,
     ) -> Result<(Vec<u8>, VaultRestoreStats), VaultError> {
-        let _span = self.telemetry.span("vault.restore_all");
+        let _span = self.system.telemetry.span("vault.restore_all");
         let Some(manifest) = &bootstrap.vault else {
             // Pre-S16 archive: no catalog, no reel map — concatenate
             // whatever survives and lean on the outer code.
@@ -735,7 +744,7 @@ impl Vault {
                 .collect();
             let mut stats = VaultRestoreStats::new(RestorePath::Classic, scans.len());
             stats.frames_decoded = scans.len();
-            let (dump, r) = self.system.restore_native_traced(&scans, &self.telemetry)?;
+            let (dump, r) = self.system.restore_native(&scans)?;
             stats.corrected_symbols = r.corrected_symbols;
             stats.erasure_frames = r.erasure_frames;
             return Ok((dump, stats));
@@ -759,7 +768,7 @@ impl Vault {
         reels: &ReelScans,
         table: &str,
     ) -> Result<(Vec<u8>, VaultRestoreStats), VaultError> {
-        let _span = self.telemetry.span("vault.restore_table");
+        let _span = self.system.telemetry.span("vault.restore_table");
         let (scan, stats) = self.scan_table(bootstrap, reels, table, &ZonePredicate::all())?;
         Ok((scan.concat(), stats))
     }
@@ -782,7 +791,7 @@ impl Vault {
         table: &str,
         pred: &ZonePredicate,
     ) -> Result<(TableScan, QueryStats), VaultError> {
-        let _span = self.telemetry.span("vault.query_table");
+        let _span = self.system.telemetry.span("vault.query_table");
         let (scan, stats) = self.scan_table(bootstrap, reels, table, pred)?;
         Ok(self.finish_query(scan, stats))
     }
@@ -843,7 +852,7 @@ impl Vault {
     /// zone/piece counters to the telemetry recorder.
     fn finish_query(&self, scan: TableScan, stats: VaultRestoreStats) -> (TableScan, QueryStats) {
         let q = QueryStats::from_scan(&scan, stats);
-        let t = &self.telemetry;
+        let t = &self.system.telemetry;
         t.add("query.zones_total", q.zones_total as u64);
         t.add("query.zones_scanned", q.zones_scanned as u64);
         t.add("query.zones_pruned", q.zones_pruned as u64);
@@ -969,12 +978,12 @@ impl Vault {
         let scans: Vec<GrayImage> = positions.iter().map(|&p| source.get(p).clone()).collect();
         stats.frames_decoded += scans.len();
         let (bytes, s) = {
-            let _span = self.telemetry.span("vault.read_index");
+            let _span = self.system.telemetry.span("vault.read_index");
             decode_stream_traced(
                 &self.system.medium.geometry,
                 &scans,
                 self.system.threads,
-                &self.telemetry,
+                &self.system.telemetry,
             )?
         };
         stats.corrected_symbols += s.rs_corrected;
@@ -1039,7 +1048,7 @@ impl Vault {
                 .zip(&positions)
                 .map(|(&e, &p)| (e, source.get(p)))
                 .collect();
-            self.system.restore_frames_traced(&picks, &self.telemetry)
+            self.system.restore_frames(&picks)
         };
         let (decoded, r) = match attempt {
             Ok(ok) => ok,
@@ -1066,7 +1075,7 @@ impl Vault {
                     .zip(&positions)
                     .map(|(&e, &p)| (e, source.get(p)))
                     .collect();
-                self.system.restore_frames_traced(&picks, &self.telemetry)?
+                self.system.restore_frames(&picks)?
             }
             Err(first) => return Err(first.into()),
         };
@@ -1091,12 +1100,12 @@ impl Vault {
         source.ensure(self, &positions, stats)?;
         let scans: Vec<GrayImage> = positions.iter().map(|&p| source.get(p).clone()).collect();
         stats.frames_decoded += scans.len();
-        let _span = self.telemetry.span("vault.full_restore");
+        let _span = self.system.telemetry.span("vault.full_restore");
         let (data_bytes, s) = decode_stream_traced(
             &self.system.medium.geometry,
             &scans,
             self.system.threads,
-            &self.telemetry,
+            &self.system.telemetry,
         )?;
         stats.corrected_symbols += s.rs_corrected;
         stats.erasure_frames += s.erasure_frames;
@@ -1136,7 +1145,7 @@ impl Vault {
         g: usize,
         wants: &[(usize, usize)],
         stats: &mut VaultRestoreStats,
-    ) -> Result<Vec<((usize, usize), GrayImage, bool)>, VaultError> {
+    ) -> Result<Vec<RebuiltFrame>, VaultError> {
         let geom = self.system.medium.geometry;
         let cap = layout.chunk_cap;
         let m = layout.group_parity;
@@ -1193,7 +1202,7 @@ impl Vault {
             .collect();
 
         let blank = GrayImage::new(geom.image_width(), geom.image_height(), 255);
-        let _span = self.telemetry.span("vault.reconstruct_group");
+        let _span = self.system.telemetry.span("vault.reconstruct_group");
         // Per offset: (rebuilt frames, source frames decoded, inner-RS
         // symbols corrected along the way).
         type OffsetResult = (Vec<((usize, usize), GrayImage, bool)>, usize, usize);
@@ -1331,8 +1340,8 @@ impl<'a> FrameSource<'a> {
                 reels.len()
             )));
         }
-        for r in 0..layout.content_reels() {
-            if let Some(scans) = &reels[r] {
+        for (r, reel) in reels.iter().enumerate().take(layout.content_reels()) {
+            if let Some(scans) = reel {
                 if scans.len() != layout.reel_frames(r) {
                     return Err(VaultError::ShapeMismatch(format!(
                         "reel {r} holds {} frames, manifest says {}",
@@ -1402,7 +1411,7 @@ impl<'a> FrameSource<'a> {
         for &(reel, _) in &fresh {
             if self.touched.insert(reel) {
                 stats.reels_reconstructed += 1;
-                vault.telemetry.add("vault.reels_reconstructed", 1);
+                vault.system.telemetry.add("vault.reels_reconstructed", 1);
             }
         }
         if self.layout.parity_reels() == 0 {

@@ -17,6 +17,7 @@ fn main() {
         scheme: ule::compress::Scheme::Lzss,
         with_parity: false,
         threads: ule::par::ThreadConfig::Serial,
+        telemetry: ule::obs::Telemetry::off(),
     };
     let dump = b"CREATE TABLE r (k integer, v text);\n\
 COPY r (k, v) FROM stdin;\n\

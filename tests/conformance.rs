@@ -47,7 +47,7 @@ fn corpus_files(sub: &str) -> Vec<PathBuf> {
     let mut files: Vec<_> = fs::read_dir(&dir)
         .unwrap_or_else(|e| panic!("conformance dir {}: {e}", dir.display()))
         .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().map_or(false, |e| e == "txt"))
+        .filter(|p| p.extension().is_some_and(|e| e == "txt"))
         .collect();
     files.sort();
     assert!(!files.is_empty(), "no fixtures under {}", dir.display());

@@ -16,6 +16,7 @@ fn tpch_dump_archives_and_restores_bit_exact() {
         // The CI matrix runs this suite serial and at 4 threads; the
         // restored bytes must not notice (ULE_TEST_THREADS).
         threads: ule::par::ThreadConfig::from_env_or(ule::par::ThreadConfig::Serial),
+        telemetry: ule::obs::Telemetry::off(),
     };
     let out = system.archive(&dump);
     let scans = system.medium.scan_all(&out.data_frames, 4242);
@@ -37,6 +38,7 @@ fn all_schemes_survive_the_media_path() {
             scheme,
             with_parity: true,
             threads: ule::par::ThreadConfig::from_env_or(ule::par::ThreadConfig::Serial),
+            telemetry: ule::obs::Telemetry::off(),
         };
         let out = system.archive(&dump);
         let scans = system.medium.scan_all(&out.data_frames, 7 + scheme as u64);

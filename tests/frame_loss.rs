@@ -170,6 +170,7 @@ fn emulated_path_reports_lost_frames_and_survives_shuffles() {
         scheme: ule::compress::Scheme::Lzss,
         with_parity: false,
         threads: ThreadConfig::Serial,
+        telemetry: ule::obs::Telemetry::off(),
     };
     let dump = b"COPY t (a) FROM stdin;\n1\n2\n3\n4\n5\n\\.\n".to_vec();
     let out = sys.archive(&dump);
@@ -225,6 +226,7 @@ fn emulated_path_ignores_parity_frames_in_the_pile() {
         scheme: ule::compress::Scheme::Lzss,
         with_parity: true,
         threads: ThreadConfig::Serial,
+        telemetry: ule::obs::Telemetry::off(),
     };
     let dump = b"COPY t (a) FROM stdin;\n9\n8\n\\.\n".to_vec();
     let out = sys.archive(&dump);

@@ -104,6 +104,7 @@ fn emulated_restore_matches_native_restore() {
         scheme: Scheme::Lzss,
         with_parity: false,
         threads: ThreadConfig::Fixed(4),
+        telemetry: ule::obs::Telemetry::off(),
     };
     let dump = b"COPY t (k, v) FROM stdin;\n1\tserial\n2\tparallel\n\\.\n".to_vec();
     let out = sys.archive(&dump);
@@ -141,6 +142,7 @@ fn emulated_restore_is_byte_identical_at_any_thread_count() {
         scheme: Scheme::Lzss,
         with_parity: false,
         threads: ThreadConfig::Serial,
+        telemetry: ule::obs::Telemetry::off(),
     };
     let dump = sample_dump();
     let out = sys.archive(&dump);

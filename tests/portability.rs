@@ -13,6 +13,7 @@ fn micro() -> MicrOlonys {
         scheme: Scheme::Lzss,
         with_parity: false,
         threads: ule::par::ThreadConfig::Serial,
+        telemetry: ule::obs::Telemetry::off(),
     }
 }
 

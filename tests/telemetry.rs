@@ -7,6 +7,8 @@ use ule::fault::{Blotch, FaultPlan};
 use ule::obs::Telemetry;
 use ule::olonys::MicrOlonys;
 use ule::par::ThreadConfig;
+use ule::vault::layout::StreamId;
+use ule::vault::{ShardPlan, Vault};
 
 fn tiny(threads: ThreadConfig) -> MicrOlonys {
     MicrOlonys::test_tiny().with_threads(threads)
@@ -43,7 +45,9 @@ fn telemetry_on_restore_is_byte_identical_to_off() {
 
         let tel = Telemetry::enabled();
         let (bytes_on, stats_on) = sys
-            .restore_native_traced(&scans, &tel)
+            .clone()
+            .with_telemetry(tel.clone())
+            .restore_native(&scans)
             .expect("telemetry-on restore");
 
         assert_eq!(
@@ -81,12 +85,14 @@ fn counters_are_identical_serial_and_threaded() {
 
     let tel_serial = Telemetry::enabled();
     let (bytes_serial, _) = sys_serial
-        .restore_native_traced(&scans, &tel_serial)
+        .with_telemetry(tel_serial.clone())
+        .restore_native(&scans)
         .expect("serial restore");
 
     let tel_par = Telemetry::enabled();
     let (bytes_par, _) = tiny(ThreadConfig::Fixed(4))
-        .restore_native_traced(&scans, &tel_par)
+        .with_telemetry(tel_par.clone())
+        .restore_native(&scans)
         .expect("4-thread restore");
 
     assert_eq!(bytes_par, bytes_serial);
@@ -120,7 +126,8 @@ fn corrected_frame_counter_matches_injected_fault_count() {
 
     let tel = Telemetry::enabled();
     let (bytes, stats) = sys
-        .restore_native_traced(&frames, &tel)
+        .with_telemetry(tel.clone())
+        .restore_native(&frames)
         .expect("damaged restore");
     assert_eq!(bytes, dump, "blotched frames must still decode bit-exact");
 
@@ -147,13 +154,62 @@ fn disabled_telemetry_records_nothing_on_a_full_pipeline() {
     // archive→scan→restore run through it must leave the trace empty.
     let dump = sample_dump();
     let sys = tiny(ThreadConfig::Serial);
-    let tel = Telemetry::off();
-    let out = sys.archive_traced(&dump, &tel);
+    let tel = sys.telemetry.clone();
+    let out = sys.archive(&dump);
     let scans = degraded_scans(&sys, &out);
-    let (bytes, _) = sys.restore_native_traced(&scans, &tel).expect("restore");
+    let (bytes, _) = sys.restore_native(&scans).expect("restore");
     assert_eq!(bytes, dump);
     let trace = tel.snapshot();
     assert!(trace.spans.is_empty());
     assert!(trace.counters.is_empty());
     assert!(trace.gauges.is_empty());
+}
+
+#[test]
+fn vault_and_system_share_one_recorder() {
+    // A vault's recorder is its system's recorder: the shelf spans and the
+    // frame decodes under them land in one trace, which is as
+    // thread-count-invariant as the classic pipeline's.
+    let dump = ule::tpch::dump_for_scale(0.0001, 77);
+    let run = |threads: ThreadConfig| {
+        let tel = Telemetry::enabled();
+        let v = Vault::sharded(
+            tiny(threads).with_telemetry(tel.clone()),
+            ShardPlan::single_parity(12, 2),
+        );
+        let arc = v.archive(&dump);
+        let mut scans = v.scan_reels(&arc, 44);
+        // Lose the data reel holding lineitem's first frame, so both
+        // reads rebuild it from cross-reel parity.
+        let entry = arc.index.find("lineitem").unwrap();
+        let first = arc.index.chunk_range(entry).next().unwrap();
+        let (lost, _) = arc
+            .layout
+            .reel_of(arc.layout.chunk_position(StreamId::Data, first));
+        scans[lost] = None;
+
+        let (table, sel) = v.restore_table(&arc.bootstrap, &scans, "lineitem").unwrap();
+        let start = entry.dump_start as usize;
+        assert_eq!(table, &dump[start..start + entry.dump_len as usize]);
+        let (all, full) = v.restore_all(&arc.bootstrap, &scans).unwrap();
+        assert_eq!(all, dump);
+
+        let trace = tel.snapshot();
+        for span in ["vault.restore_table", "restore.selective"] {
+            assert!(
+                trace.spans.contains_key(span),
+                "{span} missing at {threads:?}"
+            );
+        }
+        let rebuilt = sel.reels_reconstructed + full.reels_reconstructed;
+        assert!(rebuilt > 0, "the lost reel must be rebuilt");
+        assert_eq!(tel.counter("vault.reels_reconstructed"), rebuilt as u64);
+        trace
+    };
+    let (a, b) = (run(ThreadConfig::Serial), run(ThreadConfig::Fixed(4)));
+    assert_eq!(a.counters, b.counters, "counters differ serial vs 4-thread");
+    let calls = |t: &ule::obs::Trace| -> Vec<(String, u64)> {
+        t.spans.iter().map(|(n, s)| (n.clone(), s.calls)).collect()
+    };
+    assert_eq!(calls(&a), calls(&b), "span call counts differ");
 }
