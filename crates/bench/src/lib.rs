@@ -1,8 +1,8 @@
 //! Shared workload builders for the benchmark harness (system **S13**).
 //!
-//! Every table and figure in the paper's evaluation (§4) maps to one bench
-//! target plus a section of the `report` binary — see the experiment index
-//! in `DESIGN.md` and the recorded results in `EXPERIMENTS.md`.
+//! Every table and figure in the paper's evaluation (§4) maps to a section
+//! of the `report` binary — see the experiment index in `DESIGN.md` and the
+//! recorded results in `EXPERIMENTS.md`.
 
 use std::sync::Arc;
 use ule_emblem::{
@@ -103,7 +103,7 @@ pub fn damage_emblem(
 /// and 0.4 (2 torn frames) for tears. Reordering alone must never break a
 /// restorer — a full axis. `EXPERIMENTS.md` E9 records the measured
 /// brackets behind these numbers.
-pub fn e9_model_sweep() -> Vec<(Box<dyn FaultModel>, f64)> {
+fn e9_model_sweep() -> Vec<(Box<dyn FaultModel>, f64)> {
     vec![
         (
             Box::new(BurstScratch {
@@ -150,7 +150,7 @@ impl E9Workload {
         }
     }
 
-    /// One [`EnvelopeCase`] per model in [`e9_model_sweep`]: inject the
+    /// One [`EnvelopeCase`] per model in `e9_model_sweep`: inject the
     /// fault into the cached scans at the probed severity, run the full
     /// native restore, demand bit-exact payload recovery. Each trial is
     /// deterministic in `(model, severity)` — the campaign is replayable.
@@ -352,6 +352,14 @@ mod tests {
         let damaged = damage_emblem(&img, &geom, 0.05, 3);
         let changed = img.diff_fraction(&damaged);
         assert!(changed > 0.0 && changed < 0.10, "changed {changed}");
+
+        // Data-region damage up to 6% stays inside the inner code's budget.
+        let (img, payload, _) = sample_emblem(&geom, 11);
+        for pct in [0u32, 2, 4, 6] {
+            let damaged = damage_emblem(&img, &geom, f64::from(pct) / 100.0, 23);
+            let (_, got, _) = ule_emblem::decode_emblem(&geom, &damaged).unwrap();
+            assert_eq!(got, payload, "{pct}% damage must decode");
+        }
     }
 
     #[test]

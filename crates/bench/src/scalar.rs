@@ -2,12 +2,12 @@
 //!
 //! These are the pre-kernel implementations of the byte-loop hot paths —
 //! the bitwise CRCs and the one-`Gf256::mul`-per-byte Reed–Solomon
-//! parity/syndrome loops — kept in-tree so `benches/kernels.rs` and the
-//! report's `[E11]` gate always measure the vectorized kernels against the
-//! exact code they replaced, on the same host, in the same process. They
-//! are reference implementations only: nothing in the pipeline calls them,
-//! and they are bit-for-bit equivalent to the kernel paths (the `[E11]`
-//! section asserts the equivalence on every run before timing anything).
+//! parity/syndrome loops — kept in-tree so the report's `[E11]` gate
+//! always measures the vectorized kernels against the exact code they
+//! replaced, on the same host, in the same process. They are reference
+//! implementations only: nothing in the pipeline calls them, and they are
+//! bit-for-bit equivalent to the kernel paths (the `[E11]` section asserts
+//! the equivalence on every run before timing anything).
 
 use ule_gf256::{poly, Gf256};
 
@@ -67,7 +67,7 @@ impl ScalarRs {
     /// per message byte.
     // Kept verbatim: a faster baseline would move the E11 speedup ratio.
     #[allow(clippy::needless_range_loop)]
-    pub fn fill_parity(&self, cw: &mut [u8]) {
+    fn fill_parity(&self, cw: &mut [u8]) {
         assert_eq!(cw.len(), self.n);
         let p = self.n - self.k;
         let mut rem = vec![0u8; p];
@@ -94,7 +94,7 @@ impl ScalarRs {
     }
 
     /// Scalar per-byte Horner syndromes.
-    pub fn syndromes(&self, cw: &[u8]) -> Vec<u8> {
+    fn syndromes(&self, cw: &[u8]) -> Vec<u8> {
         (0..self.n - self.k)
             .map(|i| {
                 let x = self.gf.exp(i);
@@ -130,5 +130,17 @@ mod tests {
         let mut noisy = cw;
         noisy[17] ^= 0x42;
         assert_eq!(srs.syndromes(&noisy), rs.syndromes(&noisy));
+
+        // Random inputs of the shapes `[E11]` times: a 256 KiB CRC buffer
+        // and 32 RS messages, so the A and B sides can never drift apart.
+        let buf = crate::random_payload(256 * 1024, 0xE11);
+        assert_eq!(crc32_bitwise(&buf), ule_gf256::crc32(&buf));
+        assert_eq!(crc16_ccitt_bitwise(&buf), ule_gf256::crc16_ccitt(&buf));
+        for s in 0..32u64 {
+            let msg = crate::random_payload(223, s + 1);
+            let cw = rs.encode(&msg);
+            assert_eq!(srs.encode(&msg), cw, "encoders must agree");
+            assert!(srs.is_clean(&cw));
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Guard the README's quickstart commands: the five examples must exist
+//! Guard the README's quickstart commands: the six examples must exist
 //! under the names the docs use, and `cargo build --examples` must succeed.
 //!
 //! CI runs `cargo build --examples` directly as well; this test keeps the
