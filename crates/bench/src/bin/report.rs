@@ -120,7 +120,7 @@ type Run = fn(bool, bool, &mut Checks, &mut Recorder);
 /// re-deriving every other experiment).
 const EXPERIMENTS: &[(&str, Run, bool)] = &[
     ("t1", |_, _, _, _| t1_isa(), false),
-    ("e1", |full, _, c, _| e1_paper_archive(full, c), false),
+    ("e1", |full, _, c, r| e1_paper_archive(full, c, r), false),
     ("e2", |_, _, _, _| e2_microfilm(), false),
     ("e3", |_, _, _, _| e3_cinema(), false),
     ("e4", |_, _, c, _| e4_robustness(c), false),
@@ -210,7 +210,7 @@ fn t1_isa() {
     }
 }
 
-fn e1_paper_archive(full: bool, checks: &mut Checks) {
+fn e1_paper_archive(full: bool, checks: &mut Checks, rec: &mut Recorder) {
     let scale = if full { 0.00115 } else { 0.0002 };
     println!("\n[E1] Paper archive (§4) — TPC-H SF {scale} on A4 @600dpi");
     let t0 = Instant::now();
@@ -262,13 +262,17 @@ fn e1_paper_archive(full: bool, checks: &mut Checks) {
     let encode_time = t1.elapsed();
     let t2 = Instant::now();
     let scans = medium.scan_all(&frames, 600);
+    let scan_time = t2.elapsed();
+    let t3 = Instant::now();
     let (restored_arc, stats) = decode_stream(&geom, &scans).expect("decode stream");
     let restored = ule_compress::decompress(&restored_arc).expect("decompress");
-    let decode_time = t2.elapsed();
+    let decode_time = t3.elapsed();
     assert_eq!(restored, dump);
     println!(
-        "  encode+print: {encode_time:?}   scan+decode: {decode_time:?}   (paper: 6 min / 3 min 20 s on 2016/2019 CPUs)"
+        "  encode+print: {encode_time:?}   scan: {scan_time:?}   decode: {decode_time:?}   (paper: 6 min / 3 min 20 s on 2016/2019 CPUs)"
     );
+    rec.ms("e1", "scan_ms", scan_time);
+    rec.ms("e1", "decode_ms", decode_time);
     println!(
         "  round trip: bit-exact over {} frames ({} bytes RS-corrected)",
         frames.len(),

@@ -25,6 +25,7 @@
 //! [`Medium::canonical_fault_plan`] names each medium's standard decay
 //! scenario.
 
+use std::sync::Mutex;
 use ule_emblem::EmblemGeometry;
 use ule_fault::{
     Blotch, BurstScratch, ContrastFade, EdgeTear, FaultPlan, FrameLossFault, FrameReorderFault,
@@ -32,7 +33,12 @@ use ule_fault::{
 };
 use ule_par::ThreadConfig;
 use ule_raster::draw::blit;
-use ule_raster::{DegradeParams, GrayImage, Scanner};
+use ule_raster::{DegradeParams, GrayImage, ScanPlan, Scanner};
+
+/// Output rows per work item of [`Medium::scan_all_with`]: small enough
+/// that a few frames split evenly over the workers, large enough that a
+/// band is far more work than claiming it.
+const BAND_ROWS: usize = 64;
 
 /// One analog storage medium: geometry, frame format, and scan physics.
 #[derive(Clone, Debug)]
@@ -217,25 +223,55 @@ impl Medium {
         self.scan_all_with(frames, seed, ThreadConfig::Serial)
     }
 
-    /// [`Medium::scan_all`] across `threads` workers. The per-frame seed
-    /// depends only on the frame index, so scans are identical to the
-    /// serial path at any thread count.
+    /// [`Medium::scan_all`] across `threads` workers, fanned over
+    /// frames × fixed-height bands of output rows.
     ///
-    /// Scans of undamaged frames decode on the Reed–Solomon clean-frame
-    /// fast path (`ule_gf256::RsCode::decode` returns after one
-    /// slice-kernel syndromes pass — `DESIGN.md` §12), so a verification
-    /// sweep over an intact shelf costs sampling plus syndromes, never
-    /// Berlekamp–Massey; the report's `[E11]` section and `EXPERIMENTS.md`
-    /// E11 quantify the resulting scan-throughput gain.
+    /// Frame `i` is scanned with seed `seed ^ (i + 1)`: its scan equals
+    /// `self.scan(&frames[i], seed ^ (i + 1))`. Each frame's plan is drawn
+    /// first; its bands then render in any order, each starting its noise
+    /// by jumping the plan's RNG ahead (`ule_raster::ScanPlan`), straight
+    /// into their disjoint rows of the frame; the sparse defects are
+    /// painted per frame last. The bytes are therefore the same at any
+    /// thread count.
     pub fn scan_all_with(
         &self,
         frames: &[GrayImage],
         seed: u64,
         threads: ThreadConfig,
     ) -> Vec<GrayImage> {
-        ule_par::map_indexed(threads, frames.len(), |i| {
-            self.scan(&frames[i], seed ^ (i as u64 + 1))
-        })
+        let plans: Vec<ScanPlan> = frames
+            .iter()
+            .enumerate()
+            .map(|(i, f)| Scanner::new(self.degrade.clone(), seed ^ (i as u64 + 1)).plan(f))
+            .collect();
+        let mut scans: Vec<GrayImage> = plans
+            .iter()
+            .map(|p| GrayImage::new(p.width(), p.height(), 0))
+            .collect();
+        // (frame, first row, rows): one lock per band, never contended —
+        // it only hands the band's disjoint slice to the worker that
+        // claims it.
+        let bands: Vec<(usize, usize, Mutex<&mut [u8]>)> = scans
+            .iter_mut()
+            .enumerate()
+            .flat_map(|(i, scan)| {
+                let w = scan.width();
+                scan.as_bytes_mut()
+                    .chunks_mut(BAND_ROWS * w)
+                    .enumerate()
+                    .map(move |(b, rows)| (i, b * BAND_ROWS, Mutex::new(rows)))
+            })
+            .collect();
+        ule_par::map_indexed(threads, bands.len(), |k| {
+            let (i, y0, rows) = &bands[k];
+            let mut rows = rows.lock().expect("each band is claimed once");
+            plans[*i].render_rows(&frames[*i], *y0, &mut rows);
+        });
+        drop(bands);
+        for (plan, scan) in plans.iter().zip(&mut scans) {
+            plan.paint_defects(scan);
+        }
+        scans
     }
 
     /// [`Medium::scan_all_with`] followed by physical fault injection: the

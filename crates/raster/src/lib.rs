@@ -24,4 +24,4 @@ pub mod sample;
 pub mod scan;
 
 pub use image::GrayImage;
-pub use scan::{DegradeParams, Scanner};
+pub use scan::{DegradeParams, ScanPlan, Scanner};

@@ -4,6 +4,13 @@
 //! robustness experiments (E4) are rerunnable; this avoids pulling a full
 //! RNG crate into the library's dependency closure.
 
+/// The splitmix64 increment ("golden gamma"): the state after `k` draws
+/// is `seed + k·γ` (mod 2⁶⁴).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Uniform draws per [`SplitMix64::next_gaussian`] sample.
+pub(crate) const GAUSSIAN_DRAWS: u64 = 12;
+
 /// splitmix64 — tiny, fast, and statistically solid for simulation noise.
 #[derive(Clone, Debug)]
 pub struct SplitMix64 {
@@ -18,11 +25,19 @@ impl SplitMix64 {
     /// Next 64 uniformly distributed bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// Skip `n` draws in O(1), exactly as `n` calls to
+    /// [`SplitMix64::next_u64`] would. The generator is counter-based, so
+    /// a stream can be split into bands that start from one state.
+    #[inline]
+    pub fn advance(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(GAMMA));
     }
 
     /// Uniform float in [0, 1).
@@ -42,7 +57,7 @@ impl SplitMix64 {
     #[inline]
     pub fn next_gaussian(&mut self) -> f64 {
         let mut s = 0.0;
-        for _ in 0..12 {
+        for _ in 0..GAUSSIAN_DRAWS {
             s += self.next_f64();
         }
         s - 6.0
@@ -84,6 +99,28 @@ mod tests {
         let n = 10_000;
         let mean: f64 = (0..n).map(|_| r.next_gaussian()).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.05, "mean={mean}");
+    }
+
+    #[test]
+    fn advance_equals_discarded_draws() {
+        let stepped = |n: u64| {
+            let mut r = SplitMix64::new(0xDEAD_BEEF);
+            for _ in 0..n {
+                r.next_u64();
+            }
+            r.next_u64()
+        };
+        // 12·4960: one A4 row of noise pixels.
+        for n in [0u64, 1, 12 * 4960] {
+            let mut r = SplitMix64::new(0xDEAD_BEEF);
+            r.advance(n);
+            assert_eq!(r.next_u64(), stepped(n), "n={n}");
+        }
+        // A count past 2⁶⁴ wraps: u64::MAX + 4 draws land where 3 do.
+        let mut r = SplitMix64::new(0xDEAD_BEEF);
+        r.advance(u64::MAX);
+        r.advance(4);
+        assert_eq!(r.next_u64(), stepped(3));
     }
 
     #[test]

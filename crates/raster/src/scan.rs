@@ -8,7 +8,7 @@
 //! experiments can sweep severity deterministically.
 
 use crate::image::GrayImage;
-use crate::rng::SplitMix64;
+use crate::rng::{SplitMix64, GAUSSIAN_DRAWS};
 use crate::sample::bilinear;
 
 /// Degradation severities. All default to zero (an ideal scanner); media
@@ -86,6 +86,13 @@ impl DegradeParams {
 
 /// A deterministic scanner: `scan()` maps a print master to the grayscale
 /// image a physical scanner would deliver.
+///
+/// A scan runs in three steps, each public so callers can fan the
+/// expensive middle one out: [`Scanner::plan`] draws every random choice
+/// that is not per-pixel noise, [`ScanPlan::render_rows`] renders any
+/// band of rows (geometry, fading, sensor noise), and
+/// [`ScanPlan::paint_defects`] paints the sparse defects over the whole
+/// frame. [`Scanner::scan`] is the three steps in order, on one thread.
 pub struct Scanner {
     params: DegradeParams,
     seed: u64,
@@ -108,6 +115,40 @@ struct Scratch {
     delta: f64,
 }
 
+/// Everything [`Scanner::scan`] decides before its pixel loop, for one
+/// master: the output size, the defect geometry, the per-row jitter, the
+/// fade field's column and row terms, the lens field's column terms, and
+/// the RNG state the noise stream starts from.
+///
+/// The noise stream is counter-based: row `y` starts
+/// `12 · y · width` draws past that state, so any band of rows renders on
+/// its own ([`SplitMix64::advance`]) and the frame is byte-identical
+/// however its rows are split.
+pub struct ScanPlan {
+    width: usize,
+    height: usize,
+    /// Size of the master the plan was drawn for.
+    master_size: (usize, usize),
+    params: DegradeParams,
+    /// Pass 1 is a plain copy (no lens, jitter or resampling).
+    identity_geometry: bool,
+    cx: f64,
+    cy: f64,
+    half_diag: f64,
+    inv_scale: f64,
+    /// RNG state after the plan's draws: the start of the noise stream.
+    noise: SplitMix64,
+    dust: Vec<Blob>,
+    hotspots: Vec<Blob>,
+    scratches: Vec<Scratch>,
+    jitter: Vec<f64>,
+    /// Fade `sin` term per column and per row.
+    fade_col: Vec<f64>,
+    fade_row: Vec<f64>,
+    /// Lens terms per column: `x - cx` and `rx²`.
+    lens_col: Vec<(f64, f64)>,
+}
+
 impl Scanner {
     pub fn new(params: DegradeParams, seed: u64) -> Self {
         Self { params, seed }
@@ -119,6 +160,17 @@ impl Scanner {
 
     /// Produce the scanned image of `master`.
     pub fn scan(&self, master: &GrayImage) -> GrayImage {
+        let plan = self.plan(master);
+        let mut out = GrayImage::new(plan.width(), plan.height(), 0);
+        plan.render_rows(master, 0, out.as_bytes_mut());
+        plan.paint_defects(&mut out);
+        out
+    }
+
+    /// Draw the scan of `master`'s random structure: dust, hot spots,
+    /// scratches, row jitter and fade phases, in that order from the
+    /// seed, then the per-row and per-column field terms.
+    pub fn plan(&self, master: &GrayImage) -> ScanPlan {
         let p = &self.params;
         let out_w = ((master.width() as f64) * p.scan_scale).round().max(1.0) as usize;
         let out_h = ((master.height() as f64) * p.scan_scale).round().max(1.0) as usize;
@@ -167,54 +219,124 @@ impl Scanner {
             j = j.clamp(-p.row_jitter, p.row_jitter);
             *slot = j;
         }
-        // Fading: low-frequency sinusoidal brightness field with random phase.
+        // Fading: low-frequency sinusoidal brightness field with random
+        // phase, separable into a column term and a row term.
         let fade_px = rng.next_f64() * std::f64::consts::TAU;
         let fade_py = rng.next_f64() * std::f64::consts::TAU;
+        let fade_col = (0..out_w)
+            .map(|x| (x as f64 / out_w as f64 * 2.3 + fade_px).sin())
+            .collect();
+        let fade_row = (0..out_h)
+            .map(|y| (y as f64 / out_h as f64 * 1.7 + fade_py).sin())
+            .collect();
 
         let cx = out_w as f64 / 2.0;
         let cy = out_h as f64 / 2.0;
         let half_diag = (cx * cx + cy * cy).sqrt();
-        let inv_scale = 1.0 / p.scan_scale;
+        let lens_col = (0..out_w)
+            .map(|x| {
+                let dx = x as f64 - cx;
+                let rx = dx / half_diag;
+                (dx, rx * rx)
+            })
+            .collect();
+        ScanPlan {
+            width: out_w,
+            height: out_h,
+            master_size: (master.width(), master.height()),
+            params: p.clone(),
+            identity_geometry: p.lens_k == 0.0 && p.row_jitter == 0.0 && p.scan_scale == 1.0,
+            cx,
+            cy,
+            half_diag,
+            inv_scale: 1.0 / p.scan_scale,
+            noise: rng,
+            dust,
+            hotspots,
+            scratches,
+            jitter,
+            fade_col,
+            fade_row,
+            lens_col,
+        }
+    }
+}
 
-        // Pass 1: geometry + fading + sensor noise, one pass, no inner
-        // loops (defects are painted sparsely afterwards — a page-sized
-        // frame has tens of millions of pixels).
-        let mut out = GrayImage::new(out_w, out_h, 0);
-        let identity_geometry = p.lens_k == 0.0 && p.row_jitter == 0.0 && p.scan_scale == 1.0;
-        for (y, &jit) in jitter.iter().enumerate() {
-            for x in 0..out_w {
-                let mut v = if identity_geometry {
+impl ScanPlan {
+    /// Output width in pixels.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Output height in pixels.
+    pub fn height(&self) -> usize {
+        self.height
+    }
+
+    /// Pass 1 — geometry, fading and sensor noise — for the output rows
+    /// starting at `y0`; `rows` holds whole rows and its length sets how
+    /// many. Each pixel is computed on its own, with no inner loops
+    /// (defects are painted sparsely afterwards: a page-sized frame has
+    /// tens of millions of pixels).
+    ///
+    /// # Panics
+    /// Panics if `master` is not the size of the master the plan was drawn
+    /// for, or if `rows` is not a whole number of rows or runs past the
+    /// last one.
+    pub fn render_rows(&self, master: &GrayImage, y0: usize, rows: &mut [u8]) {
+        let p = &self.params;
+        let w = self.width;
+        assert_eq!(
+            (master.width(), master.height()),
+            self.master_size,
+            "master size"
+        );
+        assert!(
+            rows.len() % w == 0 && y0 + rows.len() / w <= self.height,
+            "{} bytes from row {y0} are not whole rows of a {w}x{} scan",
+            rows.len(),
+            self.height
+        );
+        let mut rng = self.noise.clone();
+        if p.noise_sigma > 0.0 {
+            rng.advance(GAUSSIAN_DRAWS * (y0 * w) as u64);
+        }
+        for (y, row) in (y0..).zip(rows.chunks_exact_mut(w)) {
+            let jit = self.jitter[y];
+            let dy = y as f64 - self.cy;
+            let ry = dy / self.half_diag;
+            let ry2 = ry * ry;
+            for (x, px) in row.iter_mut().enumerate() {
+                let mut v = if self.identity_geometry {
                     master.get(x, y) as f64
                 } else {
-                    let mut sx = x as f64;
-                    let sy = y as f64;
-                    let rx = (sx - cx) / half_diag;
-                    let ry = (sy - cy) / half_diag;
-                    let r2 = rx * rx + ry * ry;
-                    let factor = 1.0 + p.lens_k * r2;
-                    sx = cx + (sx - cx) * factor;
-                    let sy2 = cy + (sy - cy) * factor;
-                    sx += jit;
-                    bilinear(master, sx * inv_scale, sy2 * inv_scale)
+                    let (dx, rx2) = self.lens_col[x];
+                    let factor = 1.0 + p.lens_k * (rx2 + ry2);
+                    let sx = self.cx + dx * factor + jit;
+                    let sy = self.cy + dy * factor;
+                    bilinear(master, sx * self.inv_scale, sy * self.inv_scale)
                 };
                 if p.fade_amplitude > 0.0 {
-                    let fx = (x as f64 / out_w as f64 * 2.3 + fade_px).sin();
-                    let fy = (y as f64 / out_h as f64 * 1.7 + fade_py).sin();
-                    v += p.fade_amplitude * 0.5 * (fx + fy);
+                    v += p.fade_amplitude * 0.5 * (self.fade_col[x] + self.fade_row[y]);
                 }
                 if p.noise_sigma > 0.0 {
                     v += rng.next_gaussian() * p.noise_sigma;
                 }
-                out.set(x, y, v.round().clamp(0.0, 255.0) as u8);
+                *px = v.round().clamp(0.0, 255.0) as u8;
             }
         }
+    }
 
-        // Pass 2: sparse defects, each painted only over its footprint.
+    /// Pass 2 — hot spots, scratches and dust, each painted only over its
+    /// footprint — on the rendered frame `out`.
+    pub fn paint_defects(&self, out: &mut GrayImage) {
+        let (out_w, out_h) = (self.width, self.height);
+        assert_eq!((out.width(), out.height()), (out_w, out_h), "scan size");
         let add_clamped = |out: &mut GrayImage, x: usize, y: usize, delta: f64| {
             let v = (out.get(x, y) as f64 + delta).round().clamp(0.0, 255.0) as u8;
             out.set(x, y, v);
         };
-        for h in &hotspots {
+        for h in &self.hotspots {
             let r = h.r.ceil() as isize;
             let hx = h.x.round() as isize;
             let hy = h.y.round() as isize;
@@ -223,7 +345,7 @@ impl Scanner {
                     let d2 = (x as f64 - h.x).powi(2) + (y as f64 - h.y).powi(2);
                     if d2 < h.r * h.r {
                         add_clamped(
-                            &mut out,
+                            out,
                             x as usize,
                             y as usize,
                             h.delta * (1.0 - d2 / (h.r * h.r)),
@@ -232,7 +354,7 @@ impl Scanner {
                 }
             }
         }
-        for scr in &scratches {
+        for scr in &self.scratches {
             // Walk the line across the frame, painting a disc per step.
             let diag = ((out_w * out_w + out_h * out_h) as f64).sqrt();
             let mut t = -diag;
@@ -264,7 +386,7 @@ impl Scanner {
                 }
             }
         }
-        for d in &dust {
+        for d in &self.dust {
             let r = d.r.ceil() as isize;
             let dx0 = d.x.round() as isize;
             let dy0 = d.y.round() as isize;
@@ -278,7 +400,6 @@ impl Scanner {
                 }
             }
         }
-        out
     }
 }
 

@@ -10,6 +10,7 @@ use ule::compress::Scheme;
 use ule::media::Medium;
 use ule::olonys::{EmulationTier, MicrOlonys};
 use ule::par::ThreadConfig;
+use ule::raster::{DegradeParams, GrayImage, Scanner};
 use ule::verisc::vm::EngineKind;
 
 /// Thread counts the ISSUE's conformance sweep demands.
@@ -188,4 +189,68 @@ fn emulated_restore_is_byte_identical_at_any_thread_count() {
         .restore_native(&out.data_frames)
         .expect("native restore");
     assert_eq!(native, serial_dump, "parallel emulated vs native");
+}
+
+#[test]
+fn banded_scan_all_matches_per_frame_scanner_at_any_thread_count() {
+    // `Medium::scan_all_with` renders frames × 64-row bands in parallel,
+    // each band jumping the noise stream ahead to its first row. Every
+    // degradation term is on, and the output heights cover a frame
+    // shorter than one band, exactly one band, and a height that is not
+    // a multiple of the band, at each resampling scale.
+    let cases: [(f64, [usize; 3], [usize; 3]); 3] = [
+        (1.0, [23, 64, 165], [23, 64, 165]),
+        (1.28, [23, 50, 129], [29, 64, 165]),
+        (2.0, [23, 32, 83], [46, 64, 166]),
+    ];
+    for (scale, heights, out_heights) in cases {
+        let medium = Medium {
+            degrade: DegradeParams {
+                noise_sigma: 9.0,
+                dust_per_mpx: 2000.0,
+                dust_max_radius: 2.0,
+                scratches: 2,
+                scratch_width: 1.5,
+                fade_amplitude: 12.0,
+                hotspots: 2,
+                hotspot_amplitude: 30.0,
+                row_jitter: 0.8,
+                lens_k: 0.01,
+                scan_scale: scale,
+            },
+            ..Medium::test_tiny()
+        };
+        let frames: Vec<GrayImage> = heights
+            .iter()
+            .map(|&h| {
+                let mut f = GrayImage::new(57, h, 255);
+                for y in 0..h {
+                    for x in (y % 7..57).step_by(5) {
+                        f.set(x, y, 0);
+                    }
+                }
+                f
+            })
+            .collect();
+        let seed = 0x5CA7;
+        let expected: Vec<GrayImage> = frames
+            .iter()
+            .enumerate()
+            .map(|(i, f)| Scanner::new(medium.degrade.clone(), seed ^ (i as u64 + 1)).scan(f))
+            .collect();
+        let got: Vec<usize> = expected.iter().map(GrayImage::height).collect();
+        assert_eq!(got, out_heights, "scale {scale}");
+        for threads in [
+            ThreadConfig::Serial,
+            ThreadConfig::Fixed(2),
+            ThreadConfig::Fixed(3),
+            ThreadConfig::Fixed(4),
+        ] {
+            assert_eq!(
+                medium.scan_all_with(&frames, seed, threads),
+                expected,
+                "scale {scale}, {threads}"
+            );
+        }
+    }
 }
