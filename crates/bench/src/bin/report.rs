@@ -120,7 +120,7 @@ type Run = fn(bool, bool, &mut Checks, &mut Recorder);
 /// re-deriving every other experiment).
 const EXPERIMENTS: &[(&str, Run, bool)] = &[
     ("t1", |_, _, _, _| t1_isa(), false),
-    ("e1", |full, _, c, r| e1_paper_archive(full, c, r), false),
+    ("e1", |full, _, c, r| e1_paper_archive(full, c, r), true),
     ("e2", |_, _, _, _| e2_microfilm(), false),
     ("e3", |_, _, _, _| e3_cinema(), false),
     ("e4", |_, _, c, _| e4_robustness(c), false),

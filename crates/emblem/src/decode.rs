@@ -2,7 +2,9 @@
 //!
 //! The decoder mirrors what the paper's MOCoder must do after scanning:
 //!
-//! 1. threshold the grayscale scan (Otsu — robust to fading);
+//! 1. classify pixels against the scan's Otsu threshold `t` (robust to
+//!    fading): a pixel is black when `p < t`. The test runs in place on
+//!    the grayscale scan; no bitonal copy of the frame is made;
 //! 2. locate the thick black border and build per-scanline edge maps;
 //! 3. resample the cell grid *relative to the border*, which compensates
 //!    lens curvature and transport jitter (the §3.1 distortion sources);
@@ -14,7 +16,7 @@
 use crate::encode::calibration_level;
 use crate::geometry::{EmblemGeometry, EDGE_CELLS, HEADER_COPIES, OVERHEAD_ROWS, RS_K, RS_N};
 use crate::header::{EmblemHeader, HEADER_BYTES};
-use crate::locate::{edge_map, find_border_box, EdgeMap};
+use crate::locate::{edge_map_below, find_border_box_below, EdgeMap};
 use crate::manchester::{bits_to_bytes, decode_cells};
 use ule_par::ThreadConfig;
 use ule_raster::sample::block_mean;
@@ -66,67 +68,91 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Grid resampler: maps content-cell coordinates to scan pixels by
-/// interpolating between the border edges (per-scanline), then samples the
-/// cell's mean intensity.
+/// interpolating between the border edges (per-scanline), then reads each
+/// cell as white or black from its mean intensity.
 struct GridSampler<'a> {
     scan: &'a GrayImage,
+    /// A cell is white when its mean intensity is `>= white_from`.
+    white_from: f64,
     edges: EdgeMap,
     cols: usize,
     rows: usize,
-    cell_w: f64,
-    cell_h: f64,
+    /// Half extent of the sampled cell centre, in scan pixels.
+    half_w: f64,
+    half_h: f64,
+    /// Side of the square pixel block averaged per cell.
+    block: usize,
 }
 
+/// Cells whose positions are computed before their pixels are read.
+const CELL_BATCH: usize = 64;
+
 impl<'a> GridSampler<'a> {
-    fn new(scan: &'a GrayImage, bit: &GrayImage, geom: &EmblemGeometry) -> Option<Self> {
-        let bbox = find_border_box(bit)?;
+    /// Locate the border in `scan`, classifying pixels `< t` as black.
+    fn new(scan: &'a GrayImage, t: u8, geom: &EmblemGeometry) -> Option<Self> {
+        let bbox = find_border_box_below(scan, t)?;
         let total_cols = (geom.cols + 2 * EDGE_CELLS) as f64;
         let total_rows = (geom.rows + 2 * EDGE_CELLS) as f64;
         let cell_w = bbox.width() as f64 / total_cols;
         let cell_h = bbox.height() as f64 / total_rows;
         let border_px = cell_w * 3.0;
-        let edges = edge_map(bit, bbox, border_px);
+        let edges = edge_map_below(scan, t, bbox, border_px);
+        let half_w = (cell_w * 0.3).max(0.5);
+        let half_h = (cell_h * 0.3).max(0.5);
+        let block = ((half_w.min(half_h) * 2.0).round() as usize).max(1);
         Some(Self {
             scan,
+            white_from: t as f64,
             edges,
             cols: geom.cols,
             rows: geom.rows,
-            cell_w,
-            cell_h,
+            half_w,
+            half_h,
+            block,
         })
     }
 
-    /// Scan-pixel centre of content cell (cx, cy).
-    #[inline]
-    fn cell_center(&self, cx: usize, cy: usize) -> (f64, f64) {
-        let u = (EDGE_CELLS as f64 + cx as f64 + 0.5) / (self.cols + 2 * EDGE_CELLS) as f64;
+    /// Read cells `0..n` of content row `cy` (white = `true`) onto `out`.
+    ///
+    /// The row's vertical fraction and its left/right border edges are
+    /// computed once. The first approximation of the row's scanline comes
+    /// from the box; each cell's centre is then refined along the
+    /// top/bottom edge maps, which absorb smooth distortion.
+    fn read_row(&self, cy: usize, n: usize, out: &mut Vec<bool>) {
+        let edges = &self.edges;
         let v = (EDGE_CELLS as f64 + cy as f64 + 0.5) / (self.rows + 2 * EDGE_CELLS) as f64;
-        // First approximation of the row from the box, then interpolate
-        // along the border edge maps (which absorb smooth distortion).
-        let y_rough = self.edges.bbox.y0 as f64 + v * (self.edges.bbox.height() as f64 - 1.0);
-        let yi =
-            ((y_rough - self.edges.bbox.y0 as f64).round() as usize).min(self.edges.left.len() - 1);
-        let xl = self.edges.left[yi];
-        let xr = self.edges.right[yi];
-        let x = xl + u * (xr - xl + 1.0);
-        let xi = ((x - self.edges.bbox.x0 as f64).round() as isize)
-            .clamp(0, self.edges.top.len() as isize - 1) as usize;
-        let yt = self.edges.top[xi];
-        let yb = self.edges.bottom[xi];
-        let y = yt + v * (yb - yt + 1.0);
-        (x, y)
-    }
-
-    /// Mean intensity over the central portion of a cell.
-    #[inline]
-    fn sample(&self, cx: usize, cy: usize) -> f64 {
-        let (x, y) = self.cell_center(cx, cy);
-        let half_w = (self.cell_w * 0.3).max(0.5);
-        let half_h = (self.cell_h * 0.3).max(0.5);
-        let x0 = (x - half_w).max(0.0) as usize;
-        let y0 = (y - half_h).max(0.0) as usize;
-        let block = ((half_w.min(half_h) * 2.0).round() as usize).max(1);
-        block_mean(self.scan, x0, y0, block)
+        let y_rough = edges.bbox.y0 as f64 + v * (edges.bbox.height() as f64 - 1.0);
+        let yi = ((y_rough - edges.bbox.y0 as f64).round() as usize).min(edges.left.len() - 1);
+        let xl = edges.left[yi];
+        let xr = edges.right[yi];
+        // Top-left pixel of the block averaged over cell `cx`'s centre.
+        let block_origin = |cx: usize| {
+            let u = (EDGE_CELLS as f64 + cx as f64 + 0.5) / (self.cols + 2 * EDGE_CELLS) as f64;
+            let x = xl + u * (xr - xl + 1.0);
+            let xi = ((x - edges.bbox.x0 as f64).round() as isize)
+                .clamp(0, edges.top.len() as isize - 1) as usize;
+            let yt = edges.top[xi];
+            let yb = edges.bottom[xi];
+            let y = yt + v * (yb - yt + 1.0);
+            let x0 = (x - self.half_w).max(0.0) as usize;
+            let y0 = (y - self.half_h).max(0.0) as usize;
+            (x0, y0)
+        };
+        // Positions a batch at a time, then pixels: the position arithmetic
+        // of neighbouring cells is independent, and keeping it apart from
+        // the pixel loads lets the CPU overlap many cells.
+        let mut origins = [(0usize, 0usize); CELL_BATCH];
+        for first in (0..n).step_by(CELL_BATCH) {
+            let batch = &mut origins[..CELL_BATCH.min(n - first)];
+            for (i, origin) in batch.iter_mut().enumerate() {
+                *origin = block_origin(first + i);
+            }
+            out.extend(
+                batch
+                    .iter()
+                    .map(|&(x0, y0)| block_mean(self.scan, x0, y0, self.block) >= self.white_from),
+            );
+        }
     }
 }
 
@@ -136,18 +162,17 @@ pub fn decode_emblem(
     scan: &GrayImage,
 ) -> Result<(EmblemHeader, Vec<u8>, DecodeStats), DecodeError> {
     let threshold = scan.otsu_threshold();
-    let bit = scan.threshold(threshold);
-    let sampler = GridSampler::new(scan, &bit, geom).ok_or(DecodeError::BorderNotFound)?;
-    let is_white = |v: f64| v >= threshold as f64;
+    let sampler = GridSampler::new(scan, threshold, geom).ok_or(DecodeError::BorderNotFound)?;
     let mut stats = DecodeStats::default();
 
     // Calibration row: verify the large-scale dots.
-    let mut matched = 0usize;
-    for cx in 0..geom.cols {
-        if is_white(sampler.sample(cx, 0)) == calibration_level(cx) {
-            matched += 1;
-        }
-    }
+    let mut calibration = Vec::with_capacity(geom.cols);
+    sampler.read_row(0, geom.cols, &mut calibration);
+    let matched = calibration
+        .iter()
+        .enumerate()
+        .filter(|&(cx, &white)| white == calibration_level(cx))
+        .count();
     stats.calibration_match_pm = (matched * 1000 / geom.cols) as u16;
     if stats.calibration_match_pm < 850 {
         return Err(DecodeError::CalibrationMismatch {
@@ -160,10 +185,8 @@ pub fn decode_emblem(
     let mut header: Option<EmblemHeader> = None;
     let mut copies_bits: Vec<Vec<bool>> = Vec::with_capacity(HEADER_COPIES);
     for copy in 0..HEADER_COPIES {
-        let row = 1 + copy;
-        let cells: Vec<bool> = (0..header_cells_len)
-            .map(|cx| is_white(sampler.sample(cx, row)))
-            .collect();
+        let mut cells = Vec::with_capacity(header_cells_len);
+        sampler.read_row(1 + copy, header_cells_len, &mut cells);
         let dec = decode_cells(&cells, true);
         let bytes = bits_to_bytes(&dec.bits);
         if let Ok(h) = EmblemHeader::from_bytes(&bytes) {
@@ -196,9 +219,7 @@ pub fn decode_emblem(
     let data_rows = geom.rows - OVERHEAD_ROWS;
     let mut cells = Vec::with_capacity(data_rows * geom.cols);
     for cy in 0..data_rows {
-        for cx in 0..geom.cols {
-            cells.push(is_white(sampler.sample(cx, cy + OVERHEAD_ROWS)));
-        }
+        sampler.read_row(cy + OVERHEAD_ROWS, geom.cols, &mut cells);
     }
     let dec = decode_cells(&cells, true);
     stats.sync_errors = dec.sync_errors.len();

@@ -8,9 +8,11 @@
 use crate::runner::FuzzTarget;
 use ule_compress::container::Scheme;
 use ule_dynarisc::{ThreadedImage, Vm};
-use ule_emblem::{EmblemGeometry, EmblemHeader, EmblemKind};
+use ule_emblem::geometry::EDGE_CELLS;
+use ule_emblem::{locate, EmblemGeometry, EmblemHeader, EmblemKind};
 use ule_raster::image::GrayImage;
 use ule_raster::rng::SplitMix64;
+use ule_raster::{DegradeParams, Scanner};
 use ule_verisc::{Engine, EngineKind};
 
 /// Deterministic compressible sample data (repeated dictionary words), the
@@ -261,7 +263,11 @@ fn pixels_of(geom: &EmblemGeometry, img: &GrayImage) -> Vec<u8> {
     px
 }
 
-/// Whole-frame decode: mutated pixel rasters through `decode_emblem`.
+/// Whole-frame decode: mutated pixel rasters through `decode_emblem`,
+/// plus a differential check of its border locate. The decoder classifies
+/// pixels against the Otsu threshold `t` in place on the gray scan; the
+/// box and edge map it finds must equal those the bitonal locate finds on
+/// `img.threshold(t)`.
 struct EmblemFrame;
 
 impl FuzzTarget for EmblemFrame {
@@ -270,8 +276,18 @@ impl FuzzTarget for EmblemFrame {
     }
     fn corpus(&self) -> Vec<Vec<u8>> {
         let geom = fuzz_geometry();
-        encoded_frames(&geom, 2)
+        let frames = encoded_frames(&geom, 2);
+        // A noisy gray scan too (it still decodes, with inner RS
+        // corrections): its pixels spread across the Otsu threshold, where
+        // the gray and bitonal locates could disagree.
+        let noisy = DegradeParams {
+            noise_sigma: 70.0,
+            ..DegradeParams::pristine()
+        };
+        let scan = Scanner::new(noisy, 0x5CA9).scan(&frames[0]);
+        frames
             .iter()
+            .chain([&scan])
             .map(|f| pixels_of(&geom, f))
             .collect()
     }
@@ -285,6 +301,19 @@ impl FuzzTarget for EmblemFrame {
         px.resize(w * h, 0);
         let img = GrayImage::from_raw(w, h, px);
         let _ = ule_emblem::decode_emblem(&geom, &img);
+
+        let t = img.otsu_threshold();
+        let bit = img.threshold(t);
+        let bbox = locate::find_border_box_below(&img, t);
+        assert_eq!(bbox, locate::find_border_box(&bit), "border box, t={t}");
+        if let Some(bbox) = bbox {
+            let cell_w = bbox.width() as f64 / (geom.cols + 2 * EDGE_CELLS) as f64;
+            assert_eq!(
+                locate::edge_map_below(&img, t, bbox, cell_w * 3.0),
+                locate::edge_map(&bit, bbox, cell_w * 3.0),
+                "edge map, t={t}"
+            );
+        }
     }
 }
 

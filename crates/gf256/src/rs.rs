@@ -14,10 +14,11 @@
 //! the same implementation.
 //!
 //! The hot paths run on the slice kernels of [`crate::kernels`]
-//! (`DESIGN.md` §12): encoding is one [`GfKernels::mul_add_slice`] per
-//! message coefficient over the parity window, syndromes are Horner over
-//! 8-byte slices ([`GfKernels::eval_desc`]), [`RsCode::parity_of`] batches
-//! whole byte columns per slice call, and [`RsCode::decode`] takes a
+//! (`DESIGN.md` §12): encoding folds one precomputed product row per
+//! message coefficient into a register-held remainder, syndromes are
+//! Horner over 8-byte slices ([`GfKernels::eval_desc`]),
+//! [`RsCode::parity_of`] batches whole byte columns per slice call, and
+//! [`RsCode::decode`] takes a
 //! **clean-frame fast path**: syndromes are computed first and an all-zero
 //! vector returns immediately, so scanning undamaged media never runs
 //! Berlekamp–Massey/Chien/Forney at all.
@@ -87,13 +88,52 @@ pub struct RsCode {
     /// the constant slice every long-division step folds into the parity
     /// window.
     gen_window: Vec<u8>,
-    /// Per-factor product rows of the generator window: row `f` (at
-    /// `[f * p .. (f + 1) * p]`) is `f · gen_window`, materialised at
-    /// construction with [`GfKernels::mul_slice`]. `fill_parity` folds one
-    /// whole row per message coefficient with a word-wide XOR — the split
-    /// tables fully precomputed for the only constant slice the encoder
-    /// ever multiplies (≤ 8 KB per code).
-    enc_rows: Vec<u8>,
+    /// Per-factor product rows of the generator window: row `f` is
+    /// `f · gen_window`, materialised at construction with
+    /// [`GfKernels::mul_slice`]. `fill_parity` folds one whole row per
+    /// message coefficient — the split tables fully precomputed for the
+    /// only constant slice the encoder ever multiplies.
+    enc_rows: EncRows,
+}
+
+/// [`RsCode`]'s encoder rows, each `f · gen_window` packed into `W`
+/// little-endian words: byte `i` of the row in bits `8 * (i % 8)` of word
+/// `i / 8`, zero past `p`. Every code the pipeline uses has `p ≤ 32` and
+/// so fits four words (8 KiB of rows); wider codes take 32 (64 KiB).
+#[derive(Clone)]
+enum EncRows {
+    Four(Vec<[u64; 4]>),
+    ThirtyTwo(Vec<[u64; 32]>),
+}
+
+/// Pack the 256 byte rows of stride `p` into words.
+fn pack_rows<const W: usize>(rows: &[u8], p: usize) -> Vec<[u64; W]> {
+    rows.chunks_exact(p)
+        .map(|row| {
+            let mut words = [0u64; W];
+            for (i, &b) in row.iter().enumerate() {
+                words[i / 8] |= u64::from(b) << (8 * (i % 8));
+            }
+            words
+        })
+        .collect()
+}
+
+/// LFSR long division with the remainder held in `W` words: each message
+/// byte XORed with the remainder's head picks the row, the remainder
+/// shifts one byte across the words, and the row is XORed in.
+fn lfsr_parity<const W: usize>(rows: &[[u64; W]], msg: &[u8], parity: &mut [u8]) {
+    let mut rem = [0u64; W];
+    for &m in msg {
+        let row = &rows[usize::from(m ^ rem[0] as u8)];
+        for i in 0..W {
+            let carry = if i + 1 < W { rem[i + 1] << 56 } else { 0 };
+            rem[i] = (rem[i] >> 8 | carry) ^ row[i];
+        }
+    }
+    for (i, out) in parity.iter_mut().enumerate() {
+        *out = (rem[i / 8] >> (8 * (i % 8))) as u8;
+    }
 }
 
 impl RsCode {
@@ -110,10 +150,15 @@ impl RsCode {
         let p = n - k;
         let gen_window: Vec<u8> = (0..p).map(|i| gen[p - 1 - i]).collect();
         let kernels = GfKernels::new(&gf);
-        let mut enc_rows = vec![0u8; 256 * p];
-        for (f, row) in enc_rows.chunks_exact_mut(p).enumerate() {
+        let mut rows = vec![0u8; 256 * p];
+        for (f, row) in rows.chunks_exact_mut(p).enumerate() {
             kernels.mul_slice(f as u8, &gen_window, row);
         }
+        let enc_rows = if p <= 32 {
+            EncRows::Four(pack_rows(&rows, p))
+        } else {
+            EncRows::ThirtyTwo(pack_rows(&rows, p))
+        };
         Self {
             gf,
             kernels,
@@ -212,29 +257,20 @@ impl RsCode {
 
     /// Compute parity over `cw[..k]` and write it into `cw[k..]`.
     ///
-    /// Polynomial long division of `msg(x) · x^p` by `g(x)`, shift-free:
-    /// the dividend sits in a `k + p` scratch buffer and each step folds
-    /// `factor · gen_window` — a precomputed kernel row — into the sliding
-    /// parity window with one word-wide XOR. Same remainder as the classic
-    /// LFSR form byte for byte (the scalar reference in the test module
-    /// and `ule_bench::scalar` pin it), ≥4× its throughput (report `[E11]`).
+    /// Polynomial long division of `msg(x) · x^p` by `g(x)` in LFSR form,
+    /// with the remainder in `u64` registers and one precomputed row
+    /// `factor · gen_window` folded in per message byte: a step is a
+    /// shift and an XOR per word, with no memory round trip. Same
+    /// remainder as the scalar LFSR byte for byte (the scalar reference in
+    /// the test module and `ule_bench::scalar` pin it), ≥4× its
+    /// throughput (report `[E11]`).
     pub fn fill_parity(&self, cw: &mut [u8]) {
         assert_eq!(cw.len(), self.n);
-        let p = self.parity_len();
-        // n <= 255 always (asserted at construction), so the dividend
-        // scratch lives on the stack.
-        let mut scratch = [0u8; 255];
-        let buf = &mut scratch[..self.n];
-        buf[..self.k].copy_from_slice(&cw[..self.k]);
-        buf[self.k..].fill(0);
-        for j in 0..self.k {
-            let factor = buf[j];
-            if factor != 0 {
-                let row = &self.enc_rows[factor as usize * p..(factor as usize + 1) * p];
-                xor_slice(row, &mut buf[j + 1..j + 1 + p]);
-            }
+        let (msg, parity) = cw.split_at_mut(self.k);
+        match &self.enc_rows {
+            EncRows::Four(rows) => lfsr_parity(rows, msg, parity),
+            EncRows::ThirtyTwo(rows) => lfsr_parity(rows, msg, parity),
         }
-        cw[self.k..].copy_from_slice(&buf[self.k..]);
     }
 
     /// Syndromes S_i = c(alpha^i), i = 0..2t-1. All-zero means clean.
@@ -765,7 +801,7 @@ mod tests {
 
     #[test]
     fn kernel_parity_and_syndromes_match_scalar_references() {
-        for (n, k) in [(255usize, 223usize), (20, 17), (60, 40), (4, 3)] {
+        for (n, k) in [(255usize, 223usize), (20, 17), (60, 40), (4, 3), (120, 80)] {
             let rs = RsCode::new(n, k);
             for seed in 0..4u8 {
                 let msg = sample_msg(k, seed.wrapping_mul(91));

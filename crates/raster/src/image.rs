@@ -105,10 +105,7 @@ impl GrayImage {
     /// Otsu's method: the threshold that minimises intra-class variance.
     /// Robust against the global brightness shifts film fading causes.
     pub fn otsu_threshold(&self) -> u8 {
-        let mut hist = [0u64; 256];
-        for &p in &self.data {
-            hist[p as usize] += 1;
-        }
+        let hist = self.histogram();
         let total = self.data.len() as u64;
         if total == 0 {
             return 128;
@@ -137,6 +134,24 @@ impl GrayImage {
             }
         }
         best_t.saturating_add(1)
+    }
+
+    /// Pixel count per value. Four interleaved sub-histograms break the
+    /// store-to-load chain a single histogram forms on runs of equal
+    /// pixels; their sum is the same histogram.
+    fn histogram(&self) -> [u64; 256] {
+        let mut sub = [[0u64; 256]; 4];
+        let mut quads = self.data.chunks_exact(4);
+        for q in &mut quads {
+            sub[0][q[0] as usize] += 1;
+            sub[1][q[1] as usize] += 1;
+            sub[2][q[2] as usize] += 1;
+            sub[3][q[3] as usize] += 1;
+        }
+        for &p in quads.remainder() {
+            sub[0][p as usize] += 1;
+        }
+        std::array::from_fn(|v| sub.iter().map(|s| s[v]).sum())
     }
 
     /// Mean pixel value (0 for an empty image).
@@ -202,6 +217,21 @@ mod tests {
         assert!(t > 30 && t <= 220, "t={t}");
         let b = img.threshold(t);
         assert_eq!(b.as_bytes().iter().filter(|&&p| p == 0).count(), 500);
+    }
+
+    #[test]
+    fn histogram_matches_single_pass_reference() {
+        let mut rng = crate::rng::SplitMix64::new(0x0775);
+        // Pixel counts that are and are not multiples of 4, plus empty.
+        for (w, h) in [(0, 0), (1, 1), (3, 1), (5, 3), (64, 64), (101, 37)] {
+            let img = GrayImage::from_raw(w, h, (0..w * h).map(|_| rng.next_u64() as u8).collect());
+            let mut want = [0u64; 256];
+            for &p in img.as_bytes() {
+                want[p as usize] += 1;
+            }
+            assert_eq!(img.histogram(), want, "{w}x{h}");
+        }
+        assert_eq!(GrayImage::new(0, 5, 0).otsu_threshold(), 128);
     }
 
     #[test]

@@ -49,9 +49,7 @@ pub fn block_mean(img: &GrayImage, x: usize, y: usize, block: usize) -> f64 {
     }
     let mut sum = 0u64;
     for yy in y..y1 {
-        for xx in x..x1 {
-            sum += img.get(xx, yy) as u64;
-        }
+        sum += img.row(yy)[x..x1].iter().map(|&p| p as u64).sum::<u64>();
     }
     sum as f64 / ((x1 - x) * (y1 - y)) as f64
 }
@@ -99,6 +97,36 @@ mod tests {
         // Left column black, right column bright.
         assert!(down.get(0, 0) < 60);
         assert!(down.get(1, 0) > 140);
+    }
+
+    #[test]
+    fn block_mean_matches_per_pixel_reference() {
+        let mut rng = crate::rng::SplitMix64::new(0xB10C);
+        let (w, h) = (23, 17);
+        let img = GrayImage::from_raw(w, h, (0..w * h).map(|_| rng.next_u64() as u8).collect());
+        // Interior blocks, blocks clipped at the right and bottom edges,
+        // and origins past the image (mean 0).
+        for y in [0, 5, 14, 16, 17, 30] {
+            for x in [0, 3, 20, 22, 23, 40] {
+                for block in [1, 2, 3, 5, 8] {
+                    let (x1, y1) = ((x + block).min(w), (y + block).min(h));
+                    let want = if x >= x1 || y >= y1 {
+                        0.0
+                    } else {
+                        let sum: u64 = (y..y1)
+                            .flat_map(|yy| (x..x1).map(move |xx| (xx, yy)))
+                            .map(|(xx, yy)| img.get(xx, yy) as u64)
+                            .sum();
+                        sum as f64 / ((x1 - x) * (y1 - y)) as f64
+                    };
+                    assert_eq!(
+                        block_mean(&img, x, y, block),
+                        want,
+                        "({x},{y}) block {block}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
