@@ -16,6 +16,7 @@
 //! scans.
 
 use ule_raster::rng::SplitMix64;
+use ule_raster::sample::quantize;
 use ule_raster::GrayImage;
 
 /// One damage mechanism. Implementations override whichever of the two
@@ -192,11 +193,7 @@ impl FaultModel for ContrastFade {
             for (x, fx) in fxs.iter().enumerate() {
                 let local = (severity * (1.0 + 0.3 * 0.5 * (fx + fy))).clamp(0.0, 1.0);
                 let v = frame.get(x, y) as f64;
-                frame.set(
-                    x,
-                    y,
-                    (v + (255.0 - v) * local).round().clamp(0.0, 255.0) as u8,
-                );
+                frame.set(x, y, quantize(v + (255.0 - v) * local));
             }
         }
     }

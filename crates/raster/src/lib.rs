@@ -9,7 +9,9 @@
 //!   pipeline can be dumped and inspected;
 //! * [`draw`] — the rectangle/grid primitives the emblem renderer uses;
 //! * [`sample`] — bilinear sampling and resizing (2K film frames are
-//!   scanned at 4K in the paper's cinema experiment);
+//!   scanned at 4K in the paper's cinema experiment), with the libm-free
+//!   exact `floor` and byte rounding (`quantize`) they share with the
+//!   scanner;
 //! * [`scan`] — the physical degradation model of §3.1: fading, hot spots,
 //!   scratches, dust, lens curvature and transport jitter, all seeded and
 //!   deterministic;

@@ -1,20 +1,99 @@
-//! Sub-pixel sampling and resizing.
+//! Sub-pixel sampling and resizing, and the exact byte rounding they
+//! share with the scanner model.
+//!
+//! Without SSE4.1, `f64::floor` and `f64::round` are libm calls. The
+//! scanner samples tens of millions of pixels per frame, so
+//! [`bilinear`]'s floor and [`quantize`] compute the same values with
+//! add/subtract tricks on the FPU's own round-to-nearest.
 
 use crate::image::GrayImage;
 
+/// 1.5 · 2⁵²: adding it to an `f64` of magnitude below 2⁵¹ leaves a sum
+/// in [2⁵², 2⁵³], where the spacing of doubles is 1, so the addition
+/// rounds to the nearest integer (ties to even).
+const ROUNDER: f64 = 6_755_399_441_055_744.0;
+
+/// `x.floor()` and the same value as an integer, computed exactly
+/// without libm for |x| < 2⁵¹.
+///
+/// `t = x + 1.5·2⁵²` rounds `x` to its nearest integer `n`, and
+/// `r = t − 1.5·2⁵² = n` is exact (Sterbenz). `n` is also the distance
+/// between the bit patterns of `t` and 1.5·2⁵² (one unit of the low bits
+/// is 1 in that binade, and the step into 2⁵³ is too). When `r > x` the
+/// floor is `n − 1`, taken without a branch: a sampler's fractional
+/// positions make that test a coin flip. The integer converts back to
+/// the float exactly, and the sign of `x` is copied onto it so that
+/// `floor(-0.0)` is `-0.0`, as `f64::floor` has it. Outside that range,
+/// and for NaN, this is `f64::floor` (the integer saturates, as `as`
+/// does).
+#[inline(always)]
+fn floor(x: f64) -> (f64, i64) {
+    if x.abs() < 2_251_799_813_685_248.0 {
+        let t = x + ROUNDER;
+        let n = t.to_bits() as i64 - ROUNDER.to_bits() as i64;
+        let n = n - i64::from(t - ROUNDER > x);
+        ((n as f64).copysign(x), n)
+    } else {
+        let f = x.floor();
+        (f, f as i64)
+    }
+}
+
+/// `v.round().clamp(0.0, 255.0) as u8`, without libm: the one rounding
+/// of an intensity to a pixel.
+///
+/// Clamping first changes nothing (`round` is monotone and the bounds
+/// are integers). For `c` in [0, 255], `c + 2⁵² − 2⁵²` is the nearest
+/// integer `r` with ties to even, and `c − r` is exact (Sterbenz, or
+/// `r = 0`); a tie that went down (`c − r = ½`) goes up instead, which is
+/// `round`'s ties away from zero on non-negative values. NaN stays NaN
+/// throughout and casts to 0, as it does in `f64::round`'s version.
+#[inline(always)]
+pub fn quantize(v: f64) -> u8 {
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    let c = v.clamp(0.0, 255.0);
+    let r = (c + TWO_52) - TWO_52;
+    let r = if c - r == 0.5 { r + 1.0 } else { r };
+    r as u8
+}
+
+/// `u8 → f64` by lookup: one load instead of an integer conversion per
+/// tap of [`bilinear`].
+static U8_F64: [f64; 256] = {
+    let mut t = [0.0; 256];
+    let mut i = 0;
+    while i < 256 {
+        t[i] = i as f64;
+        i += 1;
+    }
+    t
+};
+
 /// Bilinear sample at fractional coordinates (edge-clamped).
-#[inline]
+#[inline(always)]
 pub fn bilinear(img: &GrayImage, x: f64, y: f64) -> f64 {
-    let x0 = x.floor();
-    let y0 = y.floor();
+    let (x0, x0i) = floor(x);
+    let (y0, y0i) = floor(y);
     let fx = x - x0;
     let fy = y - y0;
-    let x0i = x0 as isize;
-    let y0i = y0 as isize;
-    let p00 = img.get_clamped(x0i, y0i) as f64;
-    let p10 = img.get_clamped(x0i + 1, y0i) as f64;
-    let p01 = img.get_clamped(x0i, y0i + 1) as f64;
-    let p11 = img.get_clamped(x0i + 1, y0i + 1) as f64;
+    let (w, h) = (img.width(), img.height());
+    let d = img.as_bytes();
+    let (p00, p10, p01, p11) = if x0i >= 0 && y0i >= 0 && x0i < w as i64 - 1 && y0i < h as i64 - 1 {
+        // Interior: all four taps are in the image.
+        let i = y0i as usize * w + x0i as usize;
+        let (top, bottom) = (&d[i..i + 2], &d[i + w..i + w + 2]);
+        (top[0], top[1], bottom[0], bottom[1])
+    } else {
+        let (x0i, y0i) = (x0i as isize, y0i as isize);
+        let (x1i, y1i) = (x0i.saturating_add(1), y0i.saturating_add(1));
+        (
+            img.get_clamped(x0i, y0i),
+            img.get_clamped(x1i, y0i),
+            img.get_clamped(x0i, y1i),
+            img.get_clamped(x1i, y1i),
+        )
+    };
+    let [p00, p10, p01, p11] = [p00, p10, p01, p11].map(|p| U8_F64[p as usize]);
     p00 * (1.0 - fx) * (1.0 - fy) + p10 * fx * (1.0 - fy) + p01 * (1.0 - fx) * fy + p11 * fx * fy
 }
 
@@ -30,11 +109,7 @@ pub fn resize(img: &GrayImage, new_w: usize, new_h: usize) -> GrayImage {
             // Map pixel centres, not corners.
             let src_x = (x as f64 + 0.5) * sx - 0.5;
             let src_y = (y as f64 + 0.5) * sy - 0.5;
-            out.set(
-                x,
-                y,
-                bilinear(img, src_x, src_y).round().clamp(0.0, 255.0) as u8,
-            );
+            out.set(x, y, quantize(bilinear(img, src_x, src_y)));
         }
     }
     out
@@ -57,6 +132,101 @@ pub fn block_mean(img: &GrayImage, x: usize, y: usize, block: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quantize_matches_libm_round_and_clamp() {
+        let libm = |v: f64| v.round().clamp(0.0, 255.0) as u8;
+        let specials = [
+            -0.0,
+            0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            254.49999999999997,
+            254.5,
+            255.0,
+            255.49999999999997,
+            255.5,
+            -0.5,
+            -0.49999999999999994,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            -1e300,
+            f64::MIN_POSITIVE,
+        ];
+        for v in specials {
+            assert_eq!(quantize(v), libm(v), "{v:e}");
+        }
+        // Every half-integer in range and the doubles either side of it,
+        // then seeded values over [-300, 600).
+        for k in -300..600 {
+            let half = k as f64 + 0.5;
+            for v in [
+                half,
+                f64::from_bits(half.to_bits() - 1),
+                f64::from_bits(half.to_bits() + 1),
+            ] {
+                assert_eq!(quantize(v), libm(v), "{v:e}");
+            }
+        }
+        let mut rng = crate::rng::SplitMix64::new(0x0A17);
+        for _ in 0..1_000_000 {
+            let v = rng.next_f64() * 900.0 - 300.0;
+            assert_eq!(quantize(v), libm(v), "{v:e}");
+        }
+    }
+
+    #[test]
+    fn floor_matches_libm_floor() {
+        let two_51 = 2_251_799_813_685_248.0f64;
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            0.5,
+            -0.5,
+            -1e-300,
+            two_51,
+            -two_51,
+            two_51 - 0.25,
+            -(two_51 - 0.25),
+            two_51 + 1.0,
+            -(two_51 + 1.0),
+            2.0 * two_51 + 1.0,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        // Integers, the doubles just below and above them, and halves.
+        for k in (-1000i64..1000).chain([1 << 20, -(1 << 20), 1 << 40, -(1 << 40)]) {
+            let n = k as f64;
+            let below = if n > 0.0 {
+                n.to_bits() - 1
+            } else {
+                n.to_bits() + 1
+            };
+            values.extend([n, f64::from_bits(below), n + 0.5, n - 0.5]);
+        }
+        let mut rng = crate::rng::SplitMix64::new(0xF100);
+        for _ in 0..100_000 {
+            values.push((rng.next_f64() - 0.5) * 8192.0);
+        }
+        for x in values {
+            let (f, n) = floor(x);
+            let want = x.floor();
+            assert!(
+                f.to_bits() == want.to_bits() || (f.is_nan() && want.is_nan()),
+                "floor({x:e}) = {f:e}, want {want:e}"
+            );
+            assert_eq!(n, want as i64, "floor({x:e}) as an integer");
+        }
+    }
 
     #[test]
     fn bilinear_at_integer_coords_is_exact() {

@@ -9,7 +9,7 @@
 
 use crate::image::GrayImage;
 use crate::rng::{SplitMix64, GAUSSIAN_DRAWS};
-use crate::sample::bilinear;
+use crate::sample::{bilinear, quantize};
 
 /// Degradation severities. All default to zero (an ideal scanner); media
 /// profiles in `ule-media` supply calibrated presets.
@@ -147,6 +147,9 @@ pub struct ScanPlan {
     fade_row: Vec<f64>,
     /// Lens terms per column: `x - cx` and `rx²`.
     lens_col: Vec<(f64, f64)>,
+    /// Render with the AVX2 compilation of the row kernel (the host has
+    /// AVX2; detected once per plan).
+    avx2: bool,
 }
 
 impl Scanner {
@@ -258,8 +261,18 @@ impl Scanner {
             fade_col,
             fade_row,
             lens_col,
+            avx2: has_avx2(),
         }
     }
+}
+
+/// Whether this host runs the AVX2 compilation of the row kernel.
+fn has_avx2() -> bool {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if is_x86_feature_detected!("avx2") {
+        return true;
+    }
+    false
 }
 
 impl ScanPlan {
@@ -275,16 +288,14 @@ impl ScanPlan {
 
     /// Pass 1 — geometry, fading and sensor noise — for the output rows
     /// starting at `y0`; `rows` holds whole rows and its length sets how
-    /// many. Each pixel is computed on its own, with no inner loops
-    /// (defects are painted sparsely afterwards: a page-sized frame has
-    /// tens of millions of pixels).
+    /// many. Defects are painted sparsely afterwards: a page-sized frame
+    /// has tens of millions of pixels.
     ///
     /// # Panics
     /// Panics if `master` is not the size of the master the plan was drawn
     /// for, or if `rows` is not a whole number of rows or runs past the
     /// last one.
     pub fn render_rows(&self, master: &GrayImage, y0: usize, rows: &mut [u8]) {
-        let p = &self.params;
         let w = self.width;
         assert_eq!(
             (master.width(), master.height()),
@@ -297,32 +308,77 @@ impl ScanPlan {
             rows.len(),
             self.height
         );
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if self.avx2 {
+            // SAFETY: `avx2` is set only where `is_x86_feature_detected!`
+            // found AVX2 on this host, which is all the wrapper requires.
+            return unsafe { self.render_rows_avx2(master, y0, rows) };
+        }
+        self.render_rows_kernel(master, y0, rows);
+    }
+
+    /// [`ScanPlan::render_rows`]'s kernel compiled with AVX2 enabled. AVX2
+    /// adds vector instructions, not FMA, and Rust never contracts float
+    /// operations on its own, so both compilations of the kernel compute
+    /// the same IEEE results.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2")]
+    unsafe fn render_rows_avx2(&self, master: &GrayImage, y0: usize, rows: &mut [u8]) {
+        self.render_rows_kernel(master, y0, rows);
+    }
+
+    /// The row kernel: four passes per row over one `f64` row buffer,
+    /// each a loop over the row with no per-pixel branches on the plan.
+    ///
+    /// 1. geometry — the master row itself, or the lens/jitter position
+    ///    sampled bilinearly;
+    /// 2. fade — the separable brightness field;
+    /// 3. noise — [`SplitMix64::add_gaussian`], continuing the row's
+    ///    stream (row `y` starts `12 · y · width` draws into it);
+    /// 4. quantise — [`quantize`] into the output row.
+    ///
+    /// Every pixel goes through the same operations in the same order as
+    /// the per-pixel formula `quantize(geometry + fade + noise · σ)`.
+    #[inline(always)]
+    fn render_rows_kernel(&self, master: &GrayImage, y0: usize, rows: &mut [u8]) {
+        let p = &self.params;
+        let w = self.width;
         let mut rng = self.noise.clone();
         if p.noise_sigma > 0.0 {
             rng.advance(GAUSSIAN_DRAWS * (y0 * w) as u64);
         }
+        let mut buf = vec![0.0f64; w];
         for (y, row) in (y0..).zip(rows.chunks_exact_mut(w)) {
-            let jit = self.jitter[y];
-            let dy = y as f64 - self.cy;
-            let ry = dy / self.half_diag;
-            let ry2 = ry * ry;
-            for (x, px) in row.iter_mut().enumerate() {
-                let mut v = if self.identity_geometry {
-                    master.get(x, y) as f64
-                } else {
-                    let (dx, rx2) = self.lens_col[x];
+            if self.identity_geometry {
+                for (v, &px) in buf.iter_mut().zip(master.row(y)) {
+                    *v = f64::from(px);
+                }
+            } else {
+                let jit = self.jitter[y];
+                let dy = y as f64 - self.cy;
+                let ry = dy / self.half_diag;
+                let ry2 = ry * ry;
+                for (v, &(dx, rx2)) in buf.iter_mut().zip(&self.lens_col) {
                     let factor = 1.0 + p.lens_k * (rx2 + ry2);
                     let sx = self.cx + dx * factor + jit;
                     let sy = self.cy + dy * factor;
-                    bilinear(master, sx * self.inv_scale, sy * self.inv_scale)
-                };
-                if p.fade_amplitude > 0.0 {
-                    v += p.fade_amplitude * 0.5 * (self.fade_col[x] + self.fade_row[y]);
+                    *v = bilinear(master, sx * self.inv_scale, sy * self.inv_scale);
                 }
-                if p.noise_sigma > 0.0 {
-                    v += rng.next_gaussian() * p.noise_sigma;
+            }
+            if p.fade_amplitude > 0.0 {
+                let fade_row = self.fade_row[y];
+                for (v, &fade_col) in buf.iter_mut().zip(&self.fade_col) {
+                    *v += p.fade_amplitude * 0.5 * (fade_col + fade_row);
                 }
-                *px = v.round().clamp(0.0, 255.0) as u8;
+            }
+            if p.noise_sigma > 0.0 {
+                rng.add_gaussian(&mut buf, p.noise_sigma);
+            }
+            for (px, &v) in row.iter_mut().zip(&buf) {
+                *px = quantize(v);
             }
         }
     }
@@ -333,8 +389,7 @@ impl ScanPlan {
         let (out_w, out_h) = (self.width, self.height);
         assert_eq!((out.width(), out.height()), (out_w, out_h), "scan size");
         let add_clamped = |out: &mut GrayImage, x: usize, y: usize, delta: f64| {
-            let v = (out.get(x, y) as f64 + delta).round().clamp(0.0, 255.0) as u8;
-            out.set(x, y, v);
+            out.set(x, y, quantize(out.get(x, y) as f64 + delta));
         };
         for h in &self.hotspots {
             let r = h.r.ceil() as isize;
@@ -412,6 +467,169 @@ mod tests {
         let mut img = GrayImage::new(100, 100, 255);
         fill_rect(&mut img, 20, 20, 60, 60, 0);
         img
+    }
+
+    /// The per-pixel formula the row kernel replaced, with libm's `floor`
+    /// and `round` and the integer-to-float uniform: the oracle for the
+    /// kernel's bytes.
+    fn render_rows_reference(plan: &ScanPlan, master: &GrayImage, y0: usize, rows: &mut [u8]) {
+        let p = &plan.params;
+        let w = plan.width;
+        let bilinear = |x: f64, y: f64| {
+            let x0 = x.floor();
+            let y0 = y.floor();
+            let fx = x - x0;
+            let fy = y - y0;
+            let x0i = x0 as isize;
+            let y0i = y0 as isize;
+            let p00 = master.get_clamped(x0i, y0i) as f64;
+            let p10 = master.get_clamped(x0i + 1, y0i) as f64;
+            let p01 = master.get_clamped(x0i, y0i + 1) as f64;
+            let p11 = master.get_clamped(x0i + 1, y0i + 1) as f64;
+            p00 * (1.0 - fx) * (1.0 - fy)
+                + p10 * fx * (1.0 - fy)
+                + p01 * (1.0 - fx) * fy
+                + p11 * fx * fy
+        };
+        let mut rng = plan.noise.clone();
+        if p.noise_sigma > 0.0 {
+            rng.advance(GAUSSIAN_DRAWS * (y0 * w) as u64);
+        }
+        let mut gaussian = || {
+            let mut s = 0.0;
+            for _ in 0..GAUSSIAN_DRAWS {
+                s += (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+            }
+            s - 6.0
+        };
+        for (y, row) in (y0..).zip(rows.chunks_exact_mut(w)) {
+            let jit = plan.jitter[y];
+            let dy = y as f64 - plan.cy;
+            let ry = dy / plan.half_diag;
+            let ry2 = ry * ry;
+            for (x, px) in row.iter_mut().enumerate() {
+                let mut v = if plan.identity_geometry {
+                    master.get(x, y) as f64
+                } else {
+                    let (dx, rx2) = plan.lens_col[x];
+                    let factor = 1.0 + p.lens_k * (rx2 + ry2);
+                    let sx = plan.cx + dx * factor + jit;
+                    let sy = plan.cy + dy * factor;
+                    bilinear(sx * plan.inv_scale, sy * plan.inv_scale)
+                };
+                if p.fade_amplitude > 0.0 {
+                    v += p.fade_amplitude * 0.5 * (plan.fade_col[x] + plan.fade_row[y]);
+                }
+                if p.noise_sigma > 0.0 {
+                    v += gaussian() * p.noise_sigma;
+                }
+                *px = v.round().clamp(0.0, 255.0) as u8;
+            }
+        }
+    }
+
+    /// A master of seeded gray levels with bitonal runs, so bilinear taps
+    /// mix arbitrary values and hard edges.
+    fn gray_master(w: usize, h: usize, seed: u64) -> GrayImage {
+        let mut rng = SplitMix64::new(seed);
+        let data = (0..w * h)
+            .map(|i| match (i / 7) % 3 {
+                0 => 0,
+                1 => 255,
+                _ => rng.next_u64() as u8,
+            })
+            .collect();
+        GrayImage::from_raw(w, h, data)
+    }
+
+    #[test]
+    fn row_kernels_match_per_pixel_reference() {
+        // The scanner parameters of every media preset (scan scales 1.0,
+        // 1.28 and 2.0), plus the corners of the kernel: no noise,
+        // identity geometry with and without fade and noise, and a lens
+        // and jitter strong enough to sample off the master's edges.
+        let mut cases: Vec<(String, DegradeParams)> = [
+            ule_media::Medium::paper_a4_600dpi(),
+            ule_media::Medium::microfilm_16mm(),
+            ule_media::Medium::cinema_35mm(),
+            ule_media::Medium::test_tiny(),
+            ule_media::Medium::test_micro(),
+        ]
+        .into_iter()
+        .map(|m| {
+            let d = m.degrade;
+            let params = DegradeParams {
+                noise_sigma: d.noise_sigma,
+                dust_per_mpx: d.dust_per_mpx,
+                dust_max_radius: d.dust_max_radius,
+                scratches: d.scratches,
+                scratch_width: d.scratch_width,
+                fade_amplitude: d.fade_amplitude,
+                hotspots: d.hotspots,
+                hotspot_amplitude: d.hotspot_amplitude,
+                row_jitter: d.row_jitter,
+                lens_k: d.lens_k,
+                scan_scale: d.scan_scale,
+            };
+            (m.name.to_string(), params)
+        })
+        .collect();
+        let a4 = cases[0].1.clone();
+        cases.extend([
+            (
+                "A4 without noise".to_string(),
+                DegradeParams {
+                    noise_sigma: 0.0,
+                    ..a4.clone()
+                },
+            ),
+            ("pristine".to_string(), DegradeParams::pristine()),
+            (
+                "identity geometry, fade and noise".to_string(),
+                DegradeParams {
+                    noise_sigma: 9.0,
+                    fade_amplitude: 12.0,
+                    ..Default::default()
+                },
+            ),
+            (
+                "lens and jitter past the edges".to_string(),
+                DegradeParams {
+                    lens_k: 0.5,
+                    row_jitter: 3.0,
+                    scan_scale: 1.28,
+                    ..a4
+                },
+            ),
+        ]);
+        let mut kernels = vec![false];
+        if has_avx2() {
+            kernels.push(true);
+        }
+        // Output widths below one 16-lane block, whole blocks, and whole
+        // blocks plus a remainder.
+        for (name, params) in &cases {
+            for (mw, mh) in [(11, 9), (48, 21), (61, 40), (100, 33)] {
+                let master = gray_master(mw, mh, (mw * mh) as u64);
+                let mut plan = Scanner::new(params.clone(), 0x5CA7 ^ mw as u64).plan(&master);
+                let (w, h) = (plan.width(), plan.height());
+                let mut want = vec![0u8; w * h];
+                render_rows_reference(&plan, &master, 0, &mut want);
+                for &avx2 in &kernels {
+                    plan.avx2 = avx2;
+                    // The whole frame, then bands from non-zero rows.
+                    for (y0, n) in [(0, h), (1, h - 1), (h / 2, 1), (h / 3, h / 2), (h - 1, 1)] {
+                        let mut got = vec![0u8; w * n];
+                        plan.render_rows(&master, y0, &mut got);
+                        assert!(
+                            got == want[y0 * w..(y0 + n) * w],
+                            "{name}: {mw}x{mh} master, rows {y0}..{}, avx2 {avx2}",
+                            y0 + n
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
